@@ -332,14 +332,16 @@ func BenchmarkFleetScrape(b *testing.B) {
 			b.ReportMetric(float64(ingested)/elapsed, "samples/s")
 			b.ReportMetric(float64(ingested)/float64(bc.size), "samples/station")
 
-			// The body cache is disabled so every iteration measures the
-			// full render path; BenchmarkFleetScrapeRepeat measures the
-			// cached path.
-			handler := export.New(mgr).DisableBodyCache().Handler()
+			// Each iteration scrapes a fresh exporter, so it measures the
+			// cold render path, label formatting included;
+			// BenchmarkFleetScrapeRepeat measures the cached path.
 			req := httptest.NewRequest("GET", "/metrics", nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				handler := export.New(mgr).Handler()
+				b.StartTimer()
 				rec := httptest.NewRecorder()
 				handler.ServeHTTP(rec, req)
 				if rec.Code != http.StatusOK {
@@ -412,13 +414,12 @@ func shardedSynthFleet(b *testing.B, size, shards int) *fleet.Manager {
 	return mgr
 }
 
-// BenchmarkFleetScrapeColdSharded measures the cold /metrics render —
-// cache off, every station re-rendered every scrape — at large fleet
-// sizes, sharded vs unsharded. On a multi-core host stale shards render
-// across the worker pool; on a single-core host (renderWorkers clamps to
-// GOMAXPROCS) the rows mainly pin that sharding adds no render-path
-// regression, and the sharding win shows in the BusyStation rows, where
-// the cache makes re-render cost proportional to stale shards.
+// BenchmarkFleetScrapeColdSharded measures the cold /metrics render — a
+// fresh exporter per scrape, so every station's labels are formatted and
+// every station rendered — at large fleet sizes, sharded vs unsharded.
+// The rows pin that sharding adds no render-path regression; the sharding
+// win shows in the BusyStation rows, where the cache makes re-render cost
+// proportional to stale shards.
 func BenchmarkFleetScrapeColdSharded(b *testing.B) {
 	for _, size := range shardSizes {
 		for _, shards := range []int{1, 8} {
@@ -426,12 +427,14 @@ func BenchmarkFleetScrapeColdSharded(b *testing.B) {
 				mgr := shardedSynthFleet(b, size, shards)
 				defer mgr.Close()
 				mgr.StepAll(20 * time.Millisecond)
-				handler := export.New(mgr).DisableBodyCache().Handler()
 				req := httptest.NewRequest("GET", "/metrics", nil)
 				w := &discardRW{h: make(http.Header, 4)}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					handler := export.New(mgr).Handler()
+					b.StartTimer()
 					handler.ServeHTTP(w, req)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size),

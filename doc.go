@@ -147,9 +147,10 @@
 // merge the per-shard sorted lists (NamesInto/SnapshotInto reuse
 // caller buffers and stay allocation-flat at 10k stations), and a
 // scrape concatenates per-shard segments family by family. Stale
-// segments re-render across a bounded worker pool
-// (export.Exporter.RenderWorkers); Manager.Gen folds the per-shard
-// generations so whole-body caching still works when nothing moved.
+// segments re-render serially in the scraping goroutine, each through
+// the shard's export.Renderer — the same segment renderer a federation
+// head keeps per leaf; Manager.Gen folds the per-shard generations so
+// whole-body caching still works when nothing moved.
 // BENCH_fleet.json's sharding section tracks the 256..10240-station
 // rows.
 //

@@ -15,23 +15,22 @@
 // partitions: each fleet shard has its own rendered exposition segment,
 // cached against that shard's block-boundary generation
 // (fleet.Manager.ShardGen). A scrape checks every shard's generation,
-// re-renders only the stale segments (optionally across a bounded worker
-// pool — see RenderWorkers), and assembles the body by concatenating the
-// per-shard segments family-major, so the exposition stays grouped by
-// family as the text format requires. One busy station therefore
-// invalidates one shard's segment, and a repeat scrape re-renders 1/Nth
-// of the fleet instead of all of it; a fully idle fleet serves every
-// segment as a memcpy. Each segment is at most one downsample block
-// stale.
+// re-renders only the stale segments, and assembles the body by
+// concatenating the per-shard segments family-major, so the exposition
+// stays grouped by family as the text format requires. One busy station
+// therefore invalidates one shard's segment, and a repeat scrape
+// re-renders 1/Nth of the fleet instead of all of it; a fully idle fleet
+// serves every segment as a memcpy. Each segment is at most one
+// downsample block stale. Each shard renders through a Renderer, the
+// same segment renderer a federation head uses per leaf.
 //
 // Fleets churn while serving: stations hot-added or retired mid-scrape
-// simply appear in (or vanish from) the next snapshot, the
+// simply appear in (or vanish from) the next snapshot, and the
 // powersensor_fleet_adopted_total / powersensor_fleet_retired_total
-// counters account for the churn, and retirement drops the retiring
-// station's shard label cache so retired names neither linger nor poison
-// a reused name — names hash to shards deterministically, so the shard
-// whose cache could go stale is always the shard whose retired counter
-// advanced.
+// counters account for the churn. A cached label block is reused only
+// while the station's name, backend, kind and channels all match, so a
+// reused name never serves a retired station's labels, and a shard's
+// label cache is dropped once retired names outnumber its live ones.
 //
 // The exposition has two sections. The fleet section — everything
 // derived from station snapshots — is what the body cache holds. The
@@ -72,7 +71,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -96,23 +94,15 @@ type Exporter struct {
 	// staleness signal for segment s.
 	shards []shardCache
 
-	// renderWorkers bounds how many stale shard segments re-render
-	// concurrently within one scrape. Defaults to GOMAXPROCS (clamped to
-	// 8): on a single-CPU host stale segments render serially in the
-	// scraping goroutine — the fan-out would only add handoff cost.
-	renderWorkers int
-
-	// scratch pools per-scrape working state (the render buffer, staged
-	// per-shard segment copies and the resolved label list), so
+	// scratch pools per-scrape working state (the render buffer, the
+	// shard snapshot and the staged per-shard segment copies), so
 	// concurrent scrapes reuse buffers instead of reallocating them.
 	scratch sync.Pool
 
-	// cacheOn gates the per-shard segment caches. A scrape is counted as
-	// a cache hit only when every shard's segment was current — the
-	// fleet section was assembled from memcpys alone; any stale segment
-	// makes it a miss, however few shards re-rendered. Exported as
-	// powersensor_self_scrape_cache_{hits,misses}_total.
-	cacheOn     bool
+	// A scrape is counted as a cache hit only when every shard's segment
+	// was current — the fleet section was assembled from memcpys alone;
+	// any stale segment makes it a miss, however few shards re-rendered.
+	// Exported as powersensor_self_scrape_cache_{hits,misses}_total.
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 
@@ -130,158 +120,46 @@ type Exporter struct {
 	cachedHist obs.Hist
 }
 
-// shardCache is the render cache of one fleet shard: the shard's
-// exposition segment, the generation it was rendered against, and the
-// shard's own label cache.
+// shardCache is the render cache of one fleet shard: its segment renderer
+// and the shard generation the current render was taken against.
 type shardCache struct {
-	// mu guards rendered/gen/seg/offs and serialises this shard's
-	// re-renders single-flight. Shards lock independently — one shard
-	// re-rendering never blocks another shard's memcpy.
+	// mu guards rendered/gen/r and serialises this shard's re-renders
+	// single-flight. Shards lock independently — one shard re-rendering
+	// never blocks another shard's memcpy.
 	mu       sync.Mutex
-	rendered bool // seg/gen valid; an empty shard's segment is legitimately empty
+	rendered bool // gen valid; an empty shard's segment is legitimately empty
 	gen      uint64
-	seg      []byte
-	// offs slices seg by per-device family: family f's rows for this
-	// shard's stations are seg[offs[f]:offs[f+1]]. The assembly pass
-	// concatenates family f across shards to keep the exposition
-	// family-major as the text format requires.
-	offs [nDevFams + 1]int
-
-	// labelMu guards labels, this shard's cache of rendered exposition
-	// label blocks. Device names, backends, kinds and channel labels are
-	// immutable for the life of a station, so each block is escaped and
-	// formatted once instead of on every scrape — the render path then
-	// only appends numbers. Retirement invalidates the cache: a retired
-	// name must not linger (the fleet may churn through thousands of
-	// stations), and the same name may return with a different kind or
-	// channel set. Names hash to shards deterministically, so only the
-	// retiring station's own shard cache can go stale — any advance of
-	// that shard's retired counter drops this shard's cache and lets its
-	// surviving stations rebuild on next sight, leaving the other
-	// shards' caches warm. lastRetired is the per-shard counter value
-	// the cache was built against.
-	labelMu     sync.Mutex
-	labels      map[string]*devLabels
-	lastRetired uint64
+	r        *Renderer
 }
 
-// devLabels is the pre-rendered label set of one station.
-type devLabels struct {
-	dev   string   // {device="X"}
-	info  string   // {device="X",backend="B",kind="K"}
-	pairs []string // {device="X",pair="0",channel="C"} per channel
-}
-
-// scrapeState is one scrape's reusable working memory.
+// scrapeState is one scrape's reusable working memory: the body buffer,
+// the snapshot scratch a stale shard renders from, and per-shard segment
+// copies staged for assembly (so a shard re-rendering under a concurrent
+// scrape can't mutate bytes mid-assembly).
 type scrapeState struct {
-	buf    []byte
-	labels []*devLabels
-	snap   []fleet.Status
-	hist   obs.HistSnapshot
-
-	// Per-shard staging for assembly: segment copies (so a shard
-	// re-rendering concurrently can't mutate bytes mid-assembly), their
-	// family offsets, and the indices of shards found stale this scrape.
-	segs  [][]byte
-	offs  [][nDevFams + 1]int
-	stale []int
+	buf  []byte
+	snap []fleet.Status
+	hist obs.HistSnapshot
+	segs []Segment
 }
 
-// New returns an exporter over mgr, with the per-shard segment caches on.
+// New returns an exporter over mgr.
 func New(mgr *fleet.Manager) *Exporter {
 	nsh := 1
 	if mgr != nil {
 		nsh = mgr.ShardCount()
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	e := &Exporter{mgr: mgr, cacheOn: true, renderWorkers: workers}
-	e.shards = make([]shardCache, nsh)
+	e := &Exporter{mgr: mgr, shards: make([]shardCache, nsh)}
 	for i := range e.shards {
-		e.shards[i].labels = make(map[string]*devLabels)
+		e.shards[i].r = NewRenderer("")
 	}
 	e.scratch.New = func() any {
 		return &scrapeState{
-			buf:   make([]byte, 0, 16<<10),
-			segs:  make([][]byte, nsh),
-			offs:  make([][nDevFams + 1]int, nsh),
-			stale: make([]int, 0, nsh),
+			buf:  make([]byte, 0, 16<<10),
+			segs: make([]Segment, nsh),
 		}
 	}
 	return e
-}
-
-// DisableBodyCache turns off the per-shard segment caches, forcing every
-// scrape to re-render every shard — for benchmarks and tests that
-// measure or exercise rendering itself. Call before serving; it returns
-// the exporter for chaining.
-func (e *Exporter) DisableBodyCache() *Exporter {
-	e.cacheOn = false
-	return e
-}
-
-// RenderWorkers bounds how many stale shard segments one scrape
-// re-renders concurrently; n = 1 renders them serially in the scraping
-// goroutine. Call before serving; it returns the exporter for chaining.
-func (e *Exporter) RenderWorkers(n int) *Exporter {
-	if n < 1 {
-		n = 1
-	}
-	e.renderWorkers = n
-	return e
-}
-
-// labelsForShard resolves the cached rendered labels of every station in
-// snap (one shard's snapshot) into st.labels, building missing entries on
-// first sight. One lock acquisition covers the whole snapshot. retired is
-// the shard's retired counter as read BEFORE the snapshot was taken: if
-// any of this shard's stations retired since the cache was built, the
-// shard's cache is dropped wholesale — other shards' caches are untouched,
-// which is what keeps the label cache bounded under churn (a churny name
-// repeatedly clears only its own 1/Nth of the fleet's cached labels).
-// Reading the counter before the snapshot makes the invalidation
-// conservative — a retirement landing between the two reads leaves a
-// stale entry for at most one scrape. In that window the retired name can
-// even be re-adopted and appear in the snapshot against the stale entry;
-// the per-entry shape check below rebuilds it when the channel count
-// changed (rendering with a too-short pairs slice would panic), and a
-// same-shape stale entry serves old backend/kind labels for that one
-// scrape until the next one observes the counter advance and clears the
-// cache.
-func (e *Exporter) labelsForShard(sc *shardCache, snap []fleet.Status, st *scrapeState, retired uint64) {
-	st.labels = st.labels[:0]
-	sc.labelMu.Lock()
-	defer sc.labelMu.Unlock()
-	if retired != sc.lastRetired {
-		sc.lastRetired = retired
-		clear(sc.labels)
-	}
-	for i := range snap {
-		s := &snap[i]
-		l, ok := sc.labels[s.Name]
-		if ok && len(l.pairs) != s.Pairs {
-			ok = false // name reused with a different channel set: rebuild
-		}
-		if !ok {
-			l = &devLabels{
-				dev: fmt.Sprintf(`{device="%s"}`, escapeLabel(s.Name)),
-				info: fmt.Sprintf(`{device="%s",backend="%s",kind="%s"}`,
-					escapeLabel(s.Name), escapeLabel(s.Backend), escapeLabel(s.Kind)),
-			}
-			for m := 0; m < s.Pairs; m++ {
-				channel := fmt.Sprintf("pair%d", m)
-				if m < len(s.Channels) {
-					channel = s.Channels[m]
-				}
-				l.pairs = append(l.pairs, fmt.Sprintf(`{device="%s",pair="%d",channel="%s"}`,
-					escapeLabel(s.Name), m, escapeLabel(channel)))
-			}
-			sc.labels[s.Name] = l
-		}
-		st.labels = append(st.labels, l)
-	}
 }
 
 // Handler returns the exporter's route table.
@@ -442,14 +320,14 @@ const (
 )
 
 // nDevFams counts the per-device exposition families — the ones rendered
-// into per-shard segments and concatenated family-major at assembly. The
+// into segments and concatenated family-major at assembly. The
 // three fleet-scalar families (devices, adopted, retired) precede them in
 // the body but are appended directly, not segmented.
 const nDevFams = 17
 
 // devFamHdrs lists the per-device family HELP/TYPE blocks in exposition
-// order, index-aligned with the family switch in renderShardSeg and the
-// offs arrays of every shard segment.
+// order, index-aligned with the family switch in appendDevFam and the
+// offsets of every Segment.
 var devFamHdrs = [nDevFams]string{
 	hdrSourceInfo, hdrSourceRate, hdrSourceOverhead,
 	hdrWatts, hdrBoardWatts, hdrJoules,
@@ -565,40 +443,19 @@ func (e *Exporter) metrics(w http.ResponseWriter, _ *http.Request) {
 	// reading it second keeps retired <= adopted within one exposition
 	// even when churn cycles complete between the two loads.
 	retired, adopted := e.mgr.Retired(), e.mgr.Adopted()
-	cached := false
-	if e.cacheOn {
-		// Pass 1: under each shard's lock, copy current segments out and
-		// collect the stale ones. The copy (into pooled staging) keeps
-		// cached bytes immutable under concurrent scrapes, and assembly
-		// below runs with no locks held so a slow shard render on one
-		// scrape cannot stall another scrape's memcpys.
-		st.stale = st.stale[:0]
-		for s := range e.shards {
-			sc := &e.shards[s]
-			sc.mu.Lock()
-			if sc.rendered && sc.gen == e.mgr.ShardGen(s) {
-				st.segs[s] = append(st.segs[s][:0], sc.seg...)
-				st.offs[s] = sc.offs
-				sc.mu.Unlock()
-				continue
-			}
-			sc.mu.Unlock()
-			st.stale = append(st.stale, s)
+	// Stage every shard's segment, re-rendering the stale ones. Assembly
+	// below runs from the staged copies with no locks held, so a slow
+	// shard render on one scrape cannot stall another scrape's memcpys.
+	cached := true
+	for s := range e.shards {
+		if e.stageShard(s, st) {
+			cached = false
 		}
-		// Pass 2: re-render the stale shards (each single-flight under
-		// its own lock) and stage the results. A scrape counts as a hit
-		// only when pass 1 found nothing stale.
-		if len(st.stale) == 0 {
-			e.cacheHits.Add(1)
-			cached = true
-		} else {
-			e.renderStale(st)
-			e.cacheMisses.Add(1)
-		}
+	}
+	if cached {
+		e.cacheHits.Add(1)
 	} else {
-		for s := range e.shards {
-			st.segs[s] = e.renderShardSeg(s, st, st.segs[s], &st.offs[s])
-		}
+		e.cacheMisses.Add(1)
 	}
 
 	// Assemble: fleet scalars, then each per-device family concatenated
@@ -610,13 +467,7 @@ func (e *Exporter) metrics(w http.ResponseWriter, _ *http.Request) {
 	buf = appendSample(buf, "powersensor_fleet_adopted_total", "", float64(adopted))
 	buf = append(buf, hdrFleetRetired...)
 	buf = appendSample(buf, "powersensor_fleet_retired_total", "", float64(retired))
-	for f := 0; f < nDevFams; f++ {
-		buf = append(buf, devFamHdrs[f]...)
-		for s := range st.segs {
-			o := &st.offs[s]
-			buf = append(buf, st.segs[s][o[f]:o[f+1]]...)
-		}
-	}
+	buf = AppendSegments(buf, st.segs)
 
 	buf = e.appendSelf(buf, &st.hist, began)
 	// The scrape records itself after its own tail rendered, so each
@@ -632,99 +483,36 @@ func (e *Exporter) metrics(w http.ResponseWriter, _ *http.Request) {
 	e.scratch.Put(st)
 }
 
-// renderStale refreshes the segments of the shards st.stale lists and
-// stages them into st. With renderWorkers == 1 (the default on a
-// single-CPU host) the stale shards render serially in the scraping
-// goroutine; otherwise up to renderWorkers goroutines pull stale shards
-// off a shared cursor, each with its own pooled scratch. Distinct shards
-// write distinct st.segs slots, so staging needs no lock.
-func (e *Exporter) renderStale(st *scrapeState) {
-	if e.renderWorkers <= 1 || len(st.stale) == 1 {
-		for _, s := range st.stale {
-			e.renderStaleOne(s, st, st)
-		}
-		return
-	}
-	n := e.renderWorkers
-	if n > len(st.stale) {
-		n = len(st.stale)
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	states := make([]*scrapeState, n)
-	for w := range states {
-		states[w] = e.scratch.Get().(*scrapeState)
-	}
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(ws *scrapeState) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(st.stale) {
-					return
-				}
-				e.renderStaleOne(st.stale[i], ws, st)
-			}
-		}(states[w])
-	}
-	wg.Wait()
-	for _, ws := range states {
-		e.scratch.Put(ws)
-	}
-}
-
-// renderStaleOne re-renders shard s's segment if it is still stale —
-// another scrape may have refreshed it since the caller's staleness pass,
-// in which case the fresh segment is just staged — and copies the result
-// into st. render provides the snapshot/label scratch (the worker's own
-// state under parallel rendering); st receives the staged segment.
+// stageShard copies shard s's segment into st, first re-rendering it if
+// the shard's generation moved since the last render, and reports whether
+// it re-rendered.
 //
-// The generation is loaded under the shard lock BEFORE the snapshot
-// inside renderShardSeg: if a block lands mid-render the stored
-// generation is already stale and the next scrape re-renders — the
-// conservative direction. Holding the lock across render also keeps
-// same-shard renders single-flight: were two same-generation renders
-// allowed to interleave, the one holding the OLDER snapshot could store
-// last (per-step published cells such as samples and overhead advance
-// without changing the generation), and later cache hits would serve
-// counters below values the fresher render already returned — a counter
-// regression scrapers would read as a reset.
-func (e *Exporter) renderStaleOne(s int, render, st *scrapeState) {
+// The generation is loaded under the shard lock BEFORE the snapshot: if
+// a block lands mid-render the stored generation is already stale and
+// the next scrape re-renders — the conservative direction. Holding the
+// lock across render also keeps same-shard renders single-flight: were
+// two same-generation renders allowed to interleave, the one holding the
+// OLDER snapshot could store last (per-step published cells such as
+// samples and overhead advance without changing the generation), and
+// later cache hits would serve counters below values the fresher render
+// already returned — a counter regression scrapers would read as a
+// reset.
+func (e *Exporter) stageShard(s int, st *scrapeState) bool {
 	sc := &e.shards[s]
 	sc.mu.Lock()
-	if gen := e.mgr.ShardGen(s); !sc.rendered || sc.gen != gen {
+	defer sc.mu.Unlock()
+	gen := e.mgr.ShardGen(s)
+	stale := !sc.rendered || sc.gen != gen
+	if stale {
 		renderBegan := time.Now()
-		sc.seg = e.renderShardSeg(s, render, sc.seg, &sc.offs)
+		st.snap = e.mgr.ShardSnapshotInto(s, st.snap[:0])
+		sc.r.Render(st.snap)
 		sc.gen, sc.rendered = gen, true
 		e.shardRenders.Add(1)
 		e.shardRenderHist.Record(time.Since(renderBegan))
 	}
-	st.segs[s] = append(st.segs[s][:0], sc.seg...)
-	st.offs[s] = sc.offs
-	sc.mu.Unlock()
-}
-
-// renderShardSeg renders fleet shard s's stations into seg (reused;
-// returned re-sliced), recording per-family byte offsets into offs. Rows
-// within each family follow the shard's name-sorted device list. st
-// provides snapshot and label scratch only — seg is the caller's buffer
-// (a shardCache's cached segment, or scrape-local staging when the cache
-// is off).
-func (e *Exporter) renderShardSeg(s int, st *scrapeState, seg []byte, offs *[nDevFams + 1]int) []byte {
-	shRetired := e.mgr.ShardRetired(s)
-	snap := e.mgr.ShardSnapshotInto(s, st.snap[:0])
-	st.snap = snap
-	e.labelsForShard(&e.shards[s], snap, st, shRetired)
-	seg = seg[:0]
-	for f := 0; f < nDevFams; f++ {
-		offs[f] = len(seg)
-		for i := range snap {
-			seg = appendDevFam(seg, f, &snap[i], st.labels[i])
-		}
-	}
-	offs[nDevFams] = len(seg)
-	return seg
+	sc.r.CopySegment(&st.segs[s])
+	return stale
 }
 
 // appendDevFam appends one station's rows of per-device family f —

@@ -593,15 +593,6 @@ func TestMetricsBodyCache(t *testing.T) {
 		t.Error("cached body leaked a retired station's series")
 	}
 
-	// DisableBodyCache forces the render path every time.
-	e2 := New(mgr).DisableBodyCache()
-	srv2 := httptest.NewServer(e2.Handler())
-	t.Cleanup(srv2.Close)
-	get(t, srv2.URL+"/metrics")
-	get(t, srv2.URL+"/metrics")
-	if hits := e2.cacheHits.Load(); hits != 0 {
-		t.Errorf("disabled cache served %d hits", hits)
-	}
 }
 
 // addSynth hot-adds one synthetic station to a manager, building the
@@ -687,28 +678,48 @@ func TestMetricsRetiredAbsent(t *testing.T) {
 	}
 }
 
-// TestLabelCacheShapeMismatch pins the narrow churn window where a name
-// retires and is re-adopted with a different channel set between a
-// scrape's retired-counter load and its snapshot: the cached label block
-// (sized for the old station) must be rebuilt, not rendered — a stale
-// one-pair entry against a three-pair snapshot would index out of range.
+// TestLabelCacheShapeMismatch pins the label cache's one eviction rule:
+// a name retired and re-adopted as a different station must render the
+// new station's labels on first sight, never the cached block. A changed
+// channel set must rebuild (a stale one-pair entry against a three-pair
+// status would index out of range), and so must a changed backend or kind
+// with the same channel shape, which no size check can notice.
 func TestLabelCacheShapeMismatch(t *testing.T) {
-	e := New(nil) // labelsForShard never touches the manager
-	st := &scrapeState{}
-	e.labelsForShard(&e.shards[0], []fleet.Status{{Name: "x0", Backend: "rapl", Kind: "rapl",
-		Pairs: 1, Channels: []string{"package"}}}, st, 0)
-	if len(st.labels) != 1 || len(st.labels[0].pairs) != 1 {
-		t.Fatalf("seed entry: %+v", st.labels)
-	}
-	// Same retired counter (the churn landed after the load), new shape.
-	e.labelsForShard(&e.shards[0], []fleet.Status{{Name: "x0", Backend: "synthetic", Kind: "synth",
-		Pairs: 3, Channels: []string{"a", "b", "c"}}}, st, 0)
-	l := st.labels[0]
-	if len(l.pairs) != 3 {
-		t.Fatalf("stale cached entry survived shape change: %d pairs, want 3", len(l.pairs))
-	}
-	if !strings.Contains(l.info, `backend="synthetic"`) {
-		t.Errorf("rebuilt entry kept stale info labels: %s", l.info)
+	for _, prefix := range []string{"", "rack0"} {
+		r := NewRenderer(prefix)
+		render := func(s fleet.Status) *devLabels {
+			t.Helper()
+			s.Name = "x0"
+			s.PairWatts = make([]float64, s.Pairs)
+			r.Render([]fleet.Status{s})
+			if len(r.resolved) != 1 {
+				t.Fatalf("prefix %q: resolved %d entries, want 1", prefix, len(r.resolved))
+			}
+			return r.resolved[0]
+		}
+		render(fleet.Status{Backend: "rapl", Kind: "rapl", Pairs: 1, Channels: []string{"package"}})
+
+		l := render(fleet.Status{Backend: "synthetic", Kind: "synth", Pairs: 3, Channels: []string{"a", "b", "c"}})
+		if len(l.pairs) != 3 {
+			t.Fatalf("prefix %q: stale cached entry survived shape change: %d pairs, want 3", prefix, len(l.pairs))
+		}
+		if !strings.Contains(l.info, `backend="synthetic"`) {
+			t.Errorf("prefix %q: rebuilt entry kept stale info labels: %s", prefix, l.info)
+		}
+
+		// Same shape, new backend: the same name and one channel as the
+		// seed entry, so only the identity check can catch it.
+		render(fleet.Status{Backend: "rapl", Kind: "rapl", Pairs: 1, Channels: []string{"package"}})
+		l = render(fleet.Status{Backend: "nvml", Kind: "nvml", Pairs: 1, Channels: []string{"package"}})
+		if !strings.Contains(l.info, `backend="nvml",kind="nvml"`) {
+			t.Errorf("prefix %q: same-shape re-adoption serves stale labels: %s", prefix, l.info)
+		}
+
+		// Same shape, renamed channel.
+		l = render(fleet.Status{Backend: "nvml", Kind: "nvml", Pairs: 1, Channels: []string{"board"}})
+		if !strings.Contains(l.pairs[0], `channel="board"`) {
+			t.Errorf("prefix %q: renamed channel serves stale labels: %s", prefix, l.pairs[0])
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Tests pinning the federation wire format — the versioned /api/fleet
-// JSON body and its ETag discipline — and the leaf segment renderer a
-// head merges leaf fleets with.
+// JSON body and its ETag discipline — and the segment renderer under a
+// leaf label, as a head merges leaf fleets with it.
 
 package export
 
@@ -133,23 +133,20 @@ func TestLeafRenderer(t *testing.T) {
 	mgr, _ := wireLeaf(t, "r0=synth,r1=synth")
 	devs := mgr.Snapshot()
 
-	r := NewLeafRenderer(`ra"ck`) // escaping exercised via the quote
-	if r.Leaf() != `ra"ck` {
-		t.Fatalf("Leaf() = %q", r.Leaf())
-	}
+	r := NewRenderer(`ra"ck`) // escaping exercised via the quote
 	r.Render(devs)
-	var seg LeafSegment
+	var seg Segment
 	r.CopySegment(&seg)
-	if seg.Offs[0] != 0 || seg.Offs[NumDevFamilies] != len(seg.Seg) {
+	if seg.Offs[0] != 0 || seg.Offs[nDevFams] != len(seg.Seg) {
 		t.Fatalf("offsets [%d..%d] do not span the %dB segment",
-			seg.Offs[0], seg.Offs[NumDevFamilies], len(seg.Seg))
+			seg.Offs[0], seg.Offs[nDevFams], len(seg.Seg))
 	}
-	for f := 0; f < NumDevFamilies; f++ {
+	for f := 0; f < nDevFams; f++ {
 		if seg.Offs[f] > seg.Offs[f+1] {
 			t.Fatalf("family %d offsets decrease: %d > %d", f, seg.Offs[f], seg.Offs[f+1])
 		}
 	}
-	body := string(AppendLeafSegments(nil, []LeafSegment{seg}))
+	body := string(AppendSegments(nil, []Segment{seg}))
 	if !strings.Contains(body, `powersensor_board_watts{leaf="ra\"ck",device="r0"}`) {
 		t.Errorf("rendered body missing the leaf-labelled series:\n%s", body)
 	}
@@ -160,7 +157,7 @@ func TestLeafRenderer(t *testing.T) {
 	// A second render of the same snapshot reuses cached labels and
 	// produces identical bytes.
 	r.Render(devs)
-	var seg2 LeafSegment
+	var seg2 Segment
 	r.CopySegment(&seg2)
 	if string(seg2.Seg) != string(seg.Seg) {
 		t.Error("re-render of the same snapshot changed the segment bytes")
@@ -169,7 +166,7 @@ func TestLeafRenderer(t *testing.T) {
 	// Churn: rendering a shrunken fleet drops the dead station's rows,
 	// and heavy name churn cannot grow the label cache without bound.
 	r.Render(devs[:1])
-	var seg3 LeafSegment
+	var seg3 Segment
 	r.CopySegment(&seg3)
 	if strings.Contains(string(seg3.Seg), `device="r1"`) {
 		t.Error("retired station survived a re-render")
@@ -191,13 +188,13 @@ func TestLeafRenderer(t *testing.T) {
 func TestAppendLeafSegmentsMerges(t *testing.T) {
 	mgr, _ := wireLeaf(t, "m0=synth")
 	devs := mgr.Snapshot()
-	var segs [2]LeafSegment
+	var segs [2]Segment
 	for i, name := range []string{"alpha", "beta"} {
-		r := NewLeafRenderer(name)
+		r := NewRenderer(name)
 		r.Render(devs)
 		r.CopySegment(&segs[i])
 	}
-	body := string(AppendLeafSegments(nil, segs[:]))
+	body := string(AppendSegments(nil, segs[:]))
 	a := strings.Index(body, `powersensor_board_watts{leaf="alpha",device="m0"}`)
 	b := strings.Index(body, `powersensor_board_watts{leaf="beta",device="m0"}`)
 	h := strings.Index(body, "# HELP powersensor_board_watts ")
@@ -217,7 +214,7 @@ func BenchmarkLeafRender(b *testing.B) {
 	for _, size := range []int{32, 128} {
 		b.Run(benchSizeName(size), func(b *testing.B) {
 			devs := benchStatuses(b, size)
-			r := NewLeafRenderer("leaf0")
+			r := NewRenderer("leaf0")
 			r.Render(devs) // warm the label cache; steady state re-renders
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -232,9 +229,9 @@ func BenchmarkLeafAssemble(b *testing.B) {
 	for _, size := range []int{32, 128} {
 		b.Run(benchSizeName(size), func(b *testing.B) {
 			devs := benchStatuses(b, size)
-			var segs [4]LeafSegment
+			var segs [4]Segment
 			for i := range segs {
-				r := NewLeafRenderer("leaf" + string(rune('0'+i)))
+				r := NewRenderer("leaf" + string(rune('0'+i)))
 				r.Render(devs)
 				r.CopySegment(&segs[i])
 			}
@@ -242,7 +239,7 @@ func BenchmarkLeafAssemble(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = AppendLeafSegments(buf[:0], segs[:])
+				buf = AppendSegments(buf[:0], segs[:])
 			}
 		})
 	}

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/export"
+	"repro/internal/source"
 )
 
 // maxFleetBody bounds how many bytes of /api/fleet body the head will
@@ -30,10 +31,9 @@ type leafClient struct {
 
 // fetchFleet GETs the leaf's /api/fleet. etag, when non-empty, rides as
 // If-None-Match: a quiet leaf answers 304 with no body and fetchFleet
-// returns notModified with a nil view. A decoded body whose schema
-// differs from the head's own export.FleetSchemaVersion is an error —
-// leaf/head version skew fails loudly at the poll rather than
-// misrendering stations.
+// returns notModified with a nil view. A body decodeFleet refuses is an
+// error — leaf/head version skew or a malformed leaf fails loudly at the
+// poll rather than misrendering stations.
 func (c *leafClient) fetchFleet(ctx context.Context, etag string) (view *export.FleetJSON, newETag string, notModified bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url+"/api/fleet", nil)
 	if err != nil {
@@ -58,15 +58,40 @@ func (c *leafClient) fetchFleet(ctx context.Context, etag string) (view *export.
 	default:
 		return nil, "", false, fmt.Errorf("leaf %s: /api/fleet: status %d", c.name, resp.StatusCode)
 	}
+	v, err := decodeFleet(io.LimitReader(resp.Body, maxFleetBody))
+	if err != nil {
+		return nil, "", false, fmt.Errorf("leaf %s: %w", c.name, err)
+	}
+	return v, resp.Header.Get("ETag"), false, nil
+}
+
+// decodeFleet decodes one /api/fleet body: the head's trust boundary. A
+// body is refused when its schema differs from the head's own
+// export.FleetSchemaVersion, or when any station's shape is one no fleet
+// produces — a negative pair count, more pairs than source.MaxChannels
+// (the widest station any backend carries; the cap also bounds the label
+// blocks a hostile count could make the head allocate), or more channel
+// labels or per-pair readings than pairs. A refused body fails the poll like a
+// dead leaf would, instead of reaching the renderer, which indexes one
+// label block per pair reading.
+func decodeFleet(r io.Reader) (*export.FleetJSON, error) {
 	var v export.FleetJSON
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxFleetBody)).Decode(&v); err != nil {
-		return nil, "", false, fmt.Errorf("leaf %s: /api/fleet: %w", c.name, err)
+	if err := json.NewDecoder(r).Decode(&v); err != nil {
+		return nil, fmt.Errorf("/api/fleet: %w", err)
 	}
 	if v.Schema != export.FleetSchemaVersion {
-		return nil, "", false, fmt.Errorf("leaf %s: schema skew: leaf serves %d, head wants %d",
-			c.name, v.Schema, export.FleetSchemaVersion)
+		return nil, fmt.Errorf("schema skew: leaf serves %d, head wants %d",
+			v.Schema, export.FleetSchemaVersion)
 	}
-	return &v, resp.Header.Get("ETag"), false, nil
+	for i := range v.Devices {
+		d := &v.Devices[i]
+		if d.Pairs < 0 || d.Pairs > source.MaxChannels ||
+			len(d.PairWatts) > d.Pairs || len(d.Channels) > d.Pairs {
+			return nil, fmt.Errorf("/api/fleet: station %q: malformed shape: %d pairs, %d readings, %d channels",
+				d.Name, d.Pairs, len(d.PairWatts), len(d.Channels))
+		}
+	}
+	return &v, nil
 }
 
 // trimURL normalises a leaf base URL: a bare host:port gains the http

@@ -162,7 +162,7 @@ type leafState struct {
 	etag          string
 	stale         bool // the view is served as stale (leaf down)
 	lastErr       string
-	renderer      *export.LeafRenderer
+	renderer      *export.Renderer
 	renderedGen   uint64
 	renderedStale bool
 	hasRender     bool
@@ -193,7 +193,7 @@ type Head struct {
 // headScrapeState is one head scrape's reusable working memory.
 type headScrapeState struct {
 	buf  []byte
-	segs []export.LeafSegment
+	segs []export.Segment
 	hs   obs.HistSnapshot
 }
 
@@ -229,7 +229,7 @@ func New(cfg Config) (*Head, error) {
 			labelBlock: `{leaf="` + export.Escape(l.Name) + `"}`,
 			scrapeSeries: export.NewHistSeries(famLeafScrape,
 				`leaf="`+export.Escape(l.Name)+`"`),
-			renderer: export.NewLeafRenderer(l.Name),
+			renderer: export.NewRenderer(l.Name),
 		}
 		ls.lastBreak.Store(int32(BreakerClosed))
 		h.leaves = append(h.leaves, ls)
@@ -241,7 +241,7 @@ func New(cfg Config) (*Head, error) {
 	h.scratch.New = func() any {
 		return &headScrapeState{
 			buf:  make([]byte, 0, 16<<10),
-			segs: make([]export.LeafSegment, len(h.leaves)),
+			segs: make([]export.Segment, len(h.leaves)),
 		}
 	}
 	return h, nil

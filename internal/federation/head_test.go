@@ -24,6 +24,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/simsetup"
 )
 
 // killableLeaf wraps a real leaf handler behind a kill switch. Down, it
@@ -525,6 +526,121 @@ func TestHeadConfigRejects(t *testing.T) {
 		if _, err := federation.New(cfg); err == nil {
 			t.Errorf("case %d: New accepted invalid config %+v", i, cfg)
 		}
+	}
+}
+
+// within runs f and fails the test if it has not returned after d — for
+// calls whose failure mode is a hang rather than an error.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s still running after %v", what, d)
+	}
+}
+
+// TestHeadMalformedLeafBody: a leaf serving a station with more per-pair
+// readings than pairs is refused at decode, through the normal failure
+// path — the poll returns, the failure is counted, the leaf reads down,
+// and the head's /metrics keeps serving. Rendering such a status would
+// index past the station's label blocks while the leaf's lock is held.
+func TestHeadMalformedLeafBody(t *testing.T) {
+	const skewed = `{"schema":1,"generation":7,"devices":[{"name":"x","backend":"b","kind":"k","pairs":1,"channels":["c"],"pair_watts":[1,2,3]}]}`
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, skewed)
+	}))
+	t.Cleanup(srv.Close)
+	head := newHead(t, federation.Config{
+		Leaves:  []federation.Leaf{{Name: "l0", URL: srv.URL}},
+		Timeout: 200 * time.Millisecond,
+		Retries: -1,
+	})
+	within(t, 5*time.Second, "PollOnce over a malformed leaf", func() {
+		head.PollOnce(context.Background())
+	})
+	rec := httptest.NewRecorder()
+	within(t, 5*time.Second, "head /metrics", func() {
+		head.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("head /metrics: status %d", rec.Code)
+	}
+	body := rec.Body.String()
+	metricLine(t, body, `powersensor_leaf_poll_failures_total{leaf="l0"} 1`)
+	metricLine(t, body, `powersensor_leaf_up{leaf="l0"} 0`)
+	metricLine(t, body, `powersensor_leaf_consecutive_failures{leaf="l0"} 1`)
+	if strings.Contains(body, `device="x"`) {
+		t.Error("refused leaf body still rendered its station")
+	}
+}
+
+// TestHeadLeafReadoptsNewBackend: a leaf retires a station and adopts a
+// different one under the same name with the same channel shape (one
+// "board" channel, nvml then amdsmi). Both the leaf's own /metrics and
+// the head's merged /metrics must serve the new backend's labels on the
+// next render, not the cached block of the retired station.
+func TestHeadLeafReadoptsNewBackend(t *testing.T) {
+	mgr, _, srv := newLeaf(t, "x0=nvml")
+	head := newHead(t, federation.Config{
+		Leaves:  []federation.Leaf{{Name: "l0", URL: srv.URL}},
+		Timeout: 200 * time.Millisecond,
+		Retries: -1,
+	})
+	ctx := context.Background()
+	leafInfo := func(backend string) string {
+		return `powersensor_source_info{device="x0",backend="` + backend + `",kind="` + backend + `"} 1`
+	}
+	headInfo := func(backend string) string {
+		return `powersensor_source_info{leaf="l0",device="x0",backend="` + backend + `",kind="` + backend + `"} 1`
+	}
+	leafMetrics := func() string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	head.PollOnce(ctx)
+	metricLine(t, leafMetrics(), leafInfo("nvml"))
+	_, body := get(t, head.Handler(), "/metrics")
+	metricLine(t, body, headInfo("nvml"))
+
+	if err := mgr.Remove("x0"); err != nil {
+		t.Fatal(err)
+	}
+	src, err := simsetup.NewStation("amdsmi", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Add("x0", "amdsmi", src); err != nil {
+		src.Close()
+		t.Fatal(err)
+	}
+	mgr.StepAll(20 * time.Millisecond)
+
+	leafBody := leafMetrics()
+	metricLine(t, leafBody, leafInfo("amdsmi"))
+	if strings.Contains(leafBody, `backend="nvml"`) {
+		t.Error("leaf serves the retired station's nvml labels")
+	}
+	head.PollOnce(ctx)
+	_, body = get(t, head.Handler(), "/metrics")
+	metricLine(t, body, headInfo("amdsmi"))
+	if strings.Contains(body, `backend="nvml"`) {
+		t.Error("head serves the retired station's nvml labels")
 	}
 }
 

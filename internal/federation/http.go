@@ -94,7 +94,7 @@ func (h *Head) metrics(w http.ResponseWriter, _ *http.Request) {
 		ls.mu.Unlock()
 	}
 	buf := st.buf[:0]
-	buf = export.AppendLeafSegments(buf, st.segs)
+	buf = export.AppendSegments(buf, st.segs)
 	buf = h.appendSelf(buf, st, began)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write(buf)

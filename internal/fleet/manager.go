@@ -373,13 +373,6 @@ func (m *Manager) Retired() uint64 { return m.retired.Load() }
 // ShardAdopted returns the number of stations ever adopted into shard s.
 func (m *Manager) ShardAdopted(s int) uint64 { return m.shards[s].adopted.Load() }
 
-// ShardRetired returns the number of stations ever retired from shard s.
-// Names hash to shards deterministically, so any retirement that could
-// leave a stale per-shard label-cache entry — including a same-name
-// re-adoption — advances this counter for exactly the shard holding that
-// cache.
-func (m *Manager) ShardRetired(s int) uint64 { return m.shards[s].retired.Load() }
-
 // Events returns the fleet's lifecycle event ring: one structured entry
 // per adopt/start/retire/close transition, oldest overwritten first once
 // the ring fills (Config.EventCap). The ring is safe for concurrent

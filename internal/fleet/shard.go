@@ -14,9 +14,7 @@ const MaxShards = 64
 
 // shardOf maps a station name to its home shard: FNV-1a over the name,
 // folded modulo the shard count. The hash is a pure function of the name,
-// so a station retired and re-added always lands in the same shard —
-// which is what lets the exporter gate per-shard label-cache eviction on
-// per-shard retirement counters alone.
+// so a station retired and re-added always lands in the same shard.
 func shardOf(name string, nshards int) int {
 	const (
 		offset64 = 14695981039346656037
