@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -90,10 +91,23 @@ func TestServeFleet(t *testing.T) {
 	if code != http.StatusOK {
 		t.Errorf("/api/fleet: status %d", code)
 	}
-	for _, want := range []string{`"backend": "powersensor3"`, `"backend": "nvml"`,
-		`"backend": "rapl"`, `"backend": "powersensor3+resample+calib"`,
-		`"backend": "rapl+ratelimit"`, `"rate_hz": 20000`, `"rate_hz": 1000`} {
-		if !strings.Contains(body, want) {
+	var fleetBody struct {
+		Devices []struct {
+			Backend string  `json:"backend"`
+			RateHz  float64 `json:"rate_hz"`
+		} `json:"devices"`
+	}
+	if err := json.Unmarshal([]byte(body), &fleetBody); err != nil {
+		t.Fatalf("/api/fleet: %v", err)
+	}
+	served := map[string]bool{}
+	for _, d := range fleetBody.Devices {
+		served[d.Backend] = true
+		served["rate_hz="+strconv.FormatFloat(d.RateHz, 'g', -1, 64)] = true
+	}
+	for _, want := range []string{"powersensor3", "nvml", "rapl", "powersensor3+resample+calib",
+		"rapl+ratelimit", "rate_hz=20000", "rate_hz=1000"} {
+		if !served[want] {
 			t.Errorf("/api/fleet missing %q", want)
 		}
 	}

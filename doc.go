@@ -255,8 +255,14 @@
 // loudly on skew) and carries the leaf's generation fingerprint, which
 // backs both the endpoint's ETag (quiet leaves answer 304 to
 // If-None-Match — no body transfer) and the head's per-leaf cached
-// exposition segment (no re-render until the generation moves). A head
-// scrape over quiet leaves is therefore segment memcpys plus a
+// exposition segment (no re-render until the generation moves). The
+// body is compact JSON written and read without reflection: the leaf
+// appends it with export.AppendFleetJSON into a pooled buffer, and the
+// head scans it into fresh statuses, matching keys exactly and skipping
+// unknown members, so a schema-1 leaf may add fields. A non-finite
+// reading travels as null and reaches the head's exposition as NaN —
+// one overflowed station no longer blanks its whole leaf. A head
+// scrape over quiet leaves is segment memcpys plus a
 // self-telemetry tail: measured ~350-400 ns/station at 9 allocs/op vs
 // ~800 ns/station for the render the cache skips (BENCH_fleet.json,
 // federation section). Per-leaf observability exports as

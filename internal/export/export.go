@@ -47,7 +47,9 @@
 // Endpoints (all GET):
 //
 //	/metrics                      Prometheus text exposition (version 0.0.4)
-//	/api/fleet                    JSON status of every station
+//	/api/fleet                    JSON status of every station: the
+//	                              compact, versioned federation wire
+//	                              format (FleetJSON), with an ETag
 //	/api/events                   JSON tail of the fleet lifecycle event
 //	                              ring; ?n=N caps the tail (default 100)
 //	/api/device/{name}/trace      recent downsampled trace; ?format=csv|json
@@ -652,23 +654,24 @@ func escapeLabel(s string) string {
 // the fleet sits at the same block-boundary fingerprint. The generation
 // loads before the snapshot, so a block landing between the two reads
 // makes the ETag conservatively old — the client refetches, never serves
-// stale.
+// stale. The body is appended by AppendFleetJSON into the pooled scrape
+// state from a pooled snapshot, and written once with its length.
 func (e *Exporter) fleetJSON(w http.ResponseWriter, r *http.Request) {
 	gen := e.mgr.Gen()
 	etag := FleetETag(gen)
-	w.Header().Set("ETag", etag)
+	h := w.Header()
+	h.Set("ETag", etag)
 	if r.Header.Get("If-None-Match") == etag {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(FleetJSON{
-		Schema:     FleetSchemaVersion,
-		Generation: gen,
-		Devices:    e.mgr.Snapshot(),
-	})
+	st := e.scratch.Get().(*scrapeState)
+	st.snap = e.mgr.SnapshotInto(st.snap[:0])
+	st.buf = AppendFleetJSON(st.buf[:0], gen, st.snap)
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(st.buf)))
+	_, _ = w.Write(st.buf)
+	e.scratch.Put(st)
 }
 
 // eventLog is the /api/events response body: the most recent lifecycle

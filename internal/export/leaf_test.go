@@ -6,9 +6,11 @@ package export
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -125,6 +127,103 @@ func TestFleetJSONWireFormat(t *testing.T) {
 	}
 }
 
+// TestFleetJSONNonFinite: a station whose readings overflow to +Inf (a
+// calibration gain of 1e308) must not blank the leaf's /api/fleet — the
+// body stays valid JSON, the station's non-finite readings travel as
+// null, and its neighbour's readings are untouched.
+func TestFleetJSONNonFinite(t *testing.T) {
+	_, srv := wireLeaf(t, "inf=synth|calib:1e308:1e308,ok=synth")
+	resp, err := http.Get(srv.URL + "/api/fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, %v", resp.StatusCode, err)
+	}
+	var wire struct {
+		Devices []struct {
+			Name  string   `json:"name"`
+			Watts *float64 `json:"watts"`
+		} `json:"devices"`
+	}
+	if err := json.Unmarshal(body, &wire); err != nil {
+		t.Fatalf("decode %d-byte /api/fleet: %v", len(body), err)
+	}
+	if len(wire.Devices) != 2 {
+		t.Fatalf("devices = %d, want 2", len(wire.Devices))
+	}
+	if d := wire.Devices[0]; d.Name != "inf" || d.Watts != nil {
+		t.Errorf("overflowed station %q watts = %v, want null", d.Name, d.Watts)
+	}
+	if d := wire.Devices[1]; d.Watts == nil || *d.Watts <= 0 {
+		t.Errorf("healthy station %q watts = %v, want a positive reading", d.Name, d.Watts)
+	}
+	if n := resp.ContentLength; n != int64(len(body)) {
+		t.Errorf("Content-Length %d, body %d bytes", n, len(body))
+	}
+}
+
+// TestFleetJSONMatchesEncodingJSON pins the encoder's output, byte for
+// byte, to encoding/json's compact encoding of the same FleetJSON — the
+// member set, their order and every number's spelling — for statuses
+// JSON can carry.
+func TestFleetJSONMatchesEncodingJSON(t *testing.T) {
+	mgr, _ := wireLeaf(t, "w0=synth,w1=synth|resample:1000,m0=nvml")
+	devs := mgr.Snapshot()
+	devs[0].Name = "tab\t \"quote\" <html> é"
+	devs[1].Channels = nil
+	devs[1].Joules = 1e-7
+	devs[2].Watts = 1e21
+	want, err := json.Marshal(FleetJSON{Schema: FleetSchemaVersion, Generation: mgr.Gen(), Devices: devs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := AppendFleetJSON(nil, mgr.Gen(), devs)
+	// encoding/json escapes <, > and & for HTML; both spellings decode
+	// to the same string.
+	want = []byte(strings.NewReplacer(`\u003c`, "<", `\u003e`, ">").Replace(string(want)))
+	if string(got) != string(want)+"\n" {
+		t.Errorf("AppendFleetJSON\n%s\nencoding/json\n%s", got, want)
+	}
+}
+
+// TestFleetJSONAllocBound bounds the leaf /api/fleet handler's
+// steady-state allocations on a 1k-station fleet: the pooled snapshot
+// and body buffer are reused, so what remains is the ETag and header
+// values — a constant, none of it proportional to fleet size.
+func TestFleetJSONAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector, so the pooled state reallocates; the bound holds only in normal builds")
+	}
+	var sb strings.Builder
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&sb, "st%d=synth,", i)
+	}
+	mgr, err := fleet.FromSpec(sb.String(), 1, fleet.Config{RingCap: 128, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mgr.Close)
+	mgr.StepAll(20 * time.Millisecond)
+	// A collection inside the measurement would empty the pool; see
+	// TestScrapeRenderAllocBound.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	e := New(mgr)
+	w := &discardWriter{h: make(http.Header, 4)}
+	req := httptest.NewRequest(http.MethodGet, "/api/fleet", nil)
+	step := func() {
+		mgr.StepAll(time.Millisecond) // a fresh generation: the full body path
+		e.fleetJSON(w, req)
+	}
+	step()
+	if n := testing.AllocsPerRun(20, step); n > 6 {
+		t.Errorf("/api/fleet handler allocates %v per call, want <= 6 (ETag and headers only)", n)
+	}
+}
+
 // TestLeafRenderer pins the renderer's segment shape: family-major rows
 // matching the exporter's own family set, every label block carrying the
 // leaf label first, offsets slicing cleanly, and the label cache
@@ -210,6 +309,49 @@ func TestAppendLeafSegmentsMerges(t *testing.T) {
 // the full re-render of one leaf's segment, paid only when that leaf's
 // generation moves. BenchmarkLeafAssemble is the hot half: assembling
 // the merged fleet section from staged segments, paid on every scrape.
+// BenchmarkFleetJSON measures the leaf's /api/fleet handler on a full
+// body (no If-None-Match): a busy leaf's 64 PowerSensor3 rigs and a quiet
+// leaf's 512 software meters. The encoding-json rows time the indented
+// encoding/json body the handler wrote before, from the same snapshot,
+// as an in-run baseline.
+func BenchmarkFleetJSON(b *testing.B) {
+	for _, c := range []struct {
+		name, kinds string
+		n           int
+	}{{"rigs=64", "rtx4000ada,w7700,jetson,ssd", 64}, {"meters=512", "nvml,jetson-ina", 512}} {
+		kinds := strings.Split(c.kinds, ",")
+		var sb strings.Builder
+		for i := 0; i < c.n; i++ {
+			fmt.Fprintf(&sb, "st-%04d=%s,", i, kinds[i%len(kinds)])
+		}
+		mgr, err := fleet.FromSpec(sb.String(), 1, fleet.Config{RingCap: 256})
+		if err != nil {
+			b.Fatal(err)
+		}
+		mgr.StepAll(200 * time.Millisecond)
+		e := New(mgr)
+		req := httptest.NewRequest(http.MethodGet, "/api/fleet", nil)
+		b.Run(c.name+"/codec", func(b *testing.B) {
+			w := &discardWriter{h: make(http.Header, 4)}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.fleetJSON(w, req)
+			}
+		})
+		b.Run(c.name+"/encoding-json", func(b *testing.B) {
+			var snap []fleet.Status
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				snap = mgr.SnapshotInto(snap[:0])
+				enc := json.NewEncoder(io.Discard)
+				enc.SetIndent("", "  ")
+				_ = enc.Encode(FleetJSON{Schema: FleetSchemaVersion, Generation: mgr.Gen(), Devices: snap})
+			}
+		})
+		mgr.Close()
+	}
+}
+
 func BenchmarkLeafRender(b *testing.B) {
 	for _, size := range []int{32, 128} {
 		b.Run(benchSizeName(size), func(b *testing.B) {

@@ -7,14 +7,13 @@ package federation
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 
 	"repro/internal/export"
-	"repro/internal/source"
 )
 
 // maxFleetBody bounds how many bytes of /api/fleet body the head will
@@ -23,17 +22,22 @@ import (
 const maxFleetBody = 64 << 20
 
 // leafClient fetches one leaf's fleet view over its existing HTTP API.
+// Polls of one leaf are single-flight (leafState.inflight), so the
+// client's body buffer and decoder are never used concurrently.
 type leafClient struct {
 	name string
 	url  string // base URL, no trailing slash
 	http *http.Client
+
+	body []byte       // read buffer, reused across polls
+	dec  fleetDecoder // interns strings across polls
 }
 
 // fetchFleet GETs the leaf's /api/fleet. etag, when non-empty, rides as
 // If-None-Match: a quiet leaf answers 304 with no body and fetchFleet
-// returns notModified with a nil view. A body decodeFleet refuses is an
-// error — leaf/head version skew or a malformed leaf fails loudly at the
-// poll rather than misrendering stations.
+// returns notModified with a nil view. A body over maxFleetBody, or one
+// decode refuses, is an error — leaf/head version skew or a malformed
+// leaf fails loudly at the poll rather than misrendering stations.
 func (c *leafClient) fetchFleet(ctx context.Context, etag string) (view *export.FleetJSON, newETag string, notModified bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url+"/api/fleet", nil)
 	if err != nil {
@@ -58,40 +62,51 @@ func (c *leafClient) fetchFleet(ctx context.Context, etag string) (view *export.
 	default:
 		return nil, "", false, fmt.Errorf("leaf %s: /api/fleet: status %d", c.name, resp.StatusCode)
 	}
-	v, err := decodeFleet(io.LimitReader(resp.Body, maxFleetBody))
+	body, err := readCapped(c.body[:0], resp.Body, resp.ContentLength, maxFleetBody)
+	if err != nil {
+		c.body = nil
+		return nil, "", false, fmt.Errorf("leaf %s: /api/fleet: %w", c.name, err)
+	}
+	// Keep the buffer for the next poll unless one oversized body grew
+	// it far past what this leaf serves now.
+	if c.body = body; cap(body) > 1<<20 && cap(body) > 4*len(body) {
+		c.body = nil
+	}
+	v, err := c.dec.decode(body)
 	if err != nil {
 		return nil, "", false, fmt.Errorf("leaf %s: %w", c.name, err)
 	}
 	return v, resp.Header.Get("ETag"), false, nil
 }
 
-// decodeFleet decodes one /api/fleet body: the head's trust boundary. A
-// body is refused when its schema differs from the head's own
-// export.FleetSchemaVersion, or when any station's shape is one no fleet
-// produces — a negative pair count, more pairs than source.MaxChannels
-// (the widest station any backend carries; the cap also bounds the label
-// blocks a hostile count could make the head allocate), or more channel
-// labels or per-pair readings than pairs. A refused body fails the poll like a
-// dead leaf would, instead of reaching the renderer, which indexes one
-// label block per pair reading.
-func decodeFleet(r io.Reader) (*export.FleetJSON, error) {
-	var v export.FleetJSON
-	if err := json.NewDecoder(r).Decode(&v); err != nil {
-		return nil, fmt.Errorf("/api/fleet: %w", err)
+// readCapped reads r to EOF into buf, sized up front from a known
+// length hint (-1 for none). A body longer than limit bytes is an error,
+// found without reading more than one byte past the limit.
+func readCapped(buf []byte, r io.Reader, hint, limit int64) ([]byte, error) {
+	if hint > limit {
+		return buf, fmt.Errorf("body of %d bytes exceeds the %d-byte cap", hint, limit)
 	}
-	if v.Schema != export.FleetSchemaVersion {
-		return nil, fmt.Errorf("schema skew: leaf serves %d, head wants %d",
-			v.Schema, export.FleetSchemaVersion)
+	if hint >= 0 {
+		// One spare byte lets the read that meets EOF skip a regrowth.
+		buf = slices.Grow(buf, int(hint)+1)
 	}
-	for i := range v.Devices {
-		d := &v.Devices[i]
-		if d.Pairs < 0 || d.Pairs > source.MaxChannels ||
-			len(d.PairWatts) > d.Pairs || len(d.Channels) > d.Pairs {
-			return nil, fmt.Errorf("/api/fleet: station %q: malformed shape: %d pairs, %d readings, %d channels",
-				d.Name, d.Pairs, len(d.PairWatts), len(d.Channels))
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		end := min(cap(buf), int(limit)+1)
+		n, err := r.Read(buf[len(buf):end])
+		buf = buf[:len(buf)+n]
+		if int64(len(buf)) > limit {
+			return buf, fmt.Errorf("body exceeds the %d-byte cap", limit)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
 		}
 	}
-	return &v, nil
 }
 
 // trimURL normalises a leaf base URL: a bare host:port gains the http

@@ -580,6 +580,37 @@ func TestHeadMalformedLeafBody(t *testing.T) {
 	}
 }
 
+// TestHeadNonFiniteReading: one leaf station whose readings overflow to
+// +Inf (a calibration gain of 1e308) must not take the leaf's other
+// stations dark. The leaf sends the readings as null, the head decodes
+// them as NaN, its exposition renders NaN, and its merged /api/fleet
+// sends them on as null.
+func TestHeadNonFiniteReading(t *testing.T) {
+	_, _, srv := newLeaf(t, "inf=synth|calib:1e308:1e308,ok=synth")
+	head := newHead(t, federation.Config{
+		Leaves:  []federation.Leaf{{Name: "l0", URL: srv.URL}},
+		Retries: -1,
+	})
+	head.PollOnce(context.Background())
+	code, body := get(t, head.Handler(), "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("head /metrics: status %d", code)
+	}
+	metricLine(t, body, `powersensor_leaf_up{leaf="l0"} 1`)
+	metricLine(t, body, `powersensor_board_watts{leaf="l0",device="inf"} NaN`)
+	if !strings.Contains(body, `powersensor_board_watts{leaf="l0",device="ok"} `) ||
+		strings.Contains(body, `powersensor_board_watts{leaf="l0",device="ok"} NaN`) {
+		t.Error("healthy station's board watts missing or NaN")
+	}
+	v := fleetView(t, head.Handler())
+	if len(v.Devices) != 2 || v.Devices[0].Name != "inf" || v.Devices[0].Stale {
+		t.Fatalf("merged view %+v, want both stations fresh", v.Devices)
+	}
+	if w := v.Devices[0].Watts; w != 0 {
+		t.Errorf("merged view: inf station watts = %v, want null (decoded as 0)", w)
+	}
+}
+
 // TestHeadLeafReadoptsNewBackend: a leaf retires a station and adopts a
 // different one under the same name with the same channel shape (one
 // "board" channel, nvml then amdsmi). Both the leaf's own /metrics and

@@ -209,6 +209,20 @@ type HeadStation struct {
 	fleet.Status
 }
 
+// MarshalJSON writes the station with the leaf wire codec's status
+// members (export.AppendStatusFields) after leaf and stale, so a
+// non-finite reading a leaf sent as null goes out as null again instead
+// of failing the head's whole /api/fleet body.
+func (s HeadStation) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 512), `{"leaf":`...)
+	b = export.AppendJSONString(b, s.Leaf)
+	b = append(b, `,"stale":`...)
+	b = strconv.AppendBool(b, s.Stale)
+	b = append(b, ',')
+	b = export.AppendStatusFields(b, &s.Status)
+	return append(b, '}'), nil
+}
+
 // HeadFleetJSON is the head's /api/fleet body: the same schema tag as a
 // leaf, a generation folding every leaf's, the per-leaf poll states and
 // the merged station list.

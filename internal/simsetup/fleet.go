@@ -11,6 +11,7 @@ package simsetup
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -87,6 +88,9 @@ func FleetKinds() []string {
 //	                                    million fast (+) or slow (-)
 //	          | "jitter:" SD            fault: Gaussian timestamp noise of
 //	                                    deviation SD (a Go duration)
+//
+// Every numeric argument must be finite. HZ must lie in [MinStageHz,
+// MaxStageHz].
 //
 // The fault stages inject the reproducible failure modes the fleet's
 // health watchdog detects (see internal/pipeline's fault stages and
@@ -186,6 +190,17 @@ func BuildStation(kindspec string, base uint64, index int) (source.Source, error
 	return pipeline.Chain(src, stages...), nil
 }
 
+// MinStageHz and MaxStageHz bound the HZ of a resample or ratelimit
+// stage. Above the inner rate both stages pass samples through, so 1 MHz
+// — fifty times PowerSensor3's 20 kHz — loses nothing, while an
+// unbounded rate overflows the fleet's per-step batch sizing. Below 1 mHz
+// (one sample per ~17 minutes) the stage's sample period would soon
+// overflow a time.Duration.
+const (
+	MinStageHz = 1e-3
+	MaxStageHz = 1e6
+)
+
 // stageSeed derives a fault stage's rng seed from the station seed and
 // the stage's 1-based position in the kindspec, so two fault stages on
 // one station draw decorrelated streams while the whole scenario stays a
@@ -210,28 +225,28 @@ func parseStages(specs []string, seed uint64) ([]pipeline.Stage, error) {
 		name, arg, _ := strings.Cut(s, ":")
 		switch name {
 		case "resample":
-			hz, err := strconv.ParseFloat(arg, 64)
-			if err != nil || hz <= 0 {
-				return nil, bad("resample:HZ with HZ > 0")
+			hz, err := parseFinite(arg)
+			if err != nil || hz < MinStageHz || hz > MaxStageHz {
+				return nil, bad("resample:HZ with HZ in [1e-3, 1e6]")
 			}
 			stages = append(stages, pipeline.Resample(hz))
 		case "calib":
 			gainStr, offStr, hasOff := strings.Cut(arg, ":")
-			gain, err := strconv.ParseFloat(gainStr, 64)
+			gain, err := parseFinite(gainStr)
 			if err != nil {
-				return nil, bad("calib:GAIN[:OFFSET]")
+				return nil, bad("calib:GAIN[:OFFSET] with finite GAIN and OFFSET")
 			}
 			offset := 0.0
 			if hasOff {
-				if offset, err = strconv.ParseFloat(offStr, 64); err != nil {
-					return nil, bad("calib:GAIN[:OFFSET]")
+				if offset, err = parseFinite(offStr); err != nil {
+					return nil, bad("calib:GAIN[:OFFSET] with finite GAIN and OFFSET")
 				}
 			}
 			stages = append(stages, pipeline.Calibrate(gain, offset))
 		case "ratelimit":
-			hz, err := strconv.ParseFloat(arg, 64)
-			if err != nil || hz <= 0 {
-				return nil, bad("ratelimit:HZ with HZ > 0")
+			hz, err := parseFinite(arg)
+			if err != nil || hz < MinStageHz || hz > MaxStageHz {
+				return nil, bad("ratelimit:HZ with HZ in [1e-3, 1e6]")
 			}
 			stages = append(stages, pipeline.RateLimit(hz))
 		case "smooth":
@@ -254,17 +269,17 @@ func parseStages(specs []string, seed uint64) ([]pipeline.Stage, error) {
 			stages = append(stages, pipeline.Stuck(p, dur, stageSeed(seed, pos)))
 		case "spike":
 			pStr, magStr, hasMag := strings.Cut(arg, ":")
-			p, err := strconv.ParseFloat(pStr, 64)
+			p, err := parseFinite(pStr)
 			if err != nil || p < 0 || p > 1 || !hasMag {
 				return nil, bad("spike:P:MAG with P in [0,1]")
 			}
-			mag, err := strconv.ParseFloat(magStr, 64)
+			mag, err := parseFinite(magStr)
 			if err != nil || mag <= 0 || mag == 1 {
 				return nil, bad("spike:P:MAG with MAG > 0 and != 1")
 			}
 			stages = append(stages, pipeline.Spike(p, mag, stageSeed(seed, pos)))
 		case "skew":
-			ppm, err := strconv.ParseFloat(arg, 64)
+			ppm, err := parseFinite(arg)
 			if err != nil || ppm <= -1e6 || ppm >= 1e6 {
 				return nil, bad("skew:PPM with |PPM| < 1e6")
 			}
@@ -284,6 +299,17 @@ func parseStages(specs []string, seed uint64) ([]pipeline.Stage, error) {
 	return stages, nil
 }
 
+// parseFinite parses a stage's numeric argument, refusing NaN and ±Inf:
+// strconv.ParseFloat accepts both spellings, and every range check on
+// the result is false for NaN.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("non-finite %q", s)
+	}
+	return v, err
+}
+
 // parseProbDur parses the shared "P:DUR" argument form of the windowed
 // fault stages.
 func parseProbDur(arg string) (float64, time.Duration, error) {
@@ -291,7 +317,7 @@ func parseProbDur(arg string) (float64, time.Duration, error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("missing duration")
 	}
-	p, err := strconv.ParseFloat(pStr, 64)
+	p, err := parseFinite(pStr)
 	if err != nil || p < 0 || p > 1 {
 		return 0, 0, fmt.Errorf("bad probability %q", pStr)
 	}

@@ -75,6 +75,35 @@ func TestParseFleetErrors(t *testing.T) {
 	}
 }
 
+// TestParseFleetNonFinite: strconv.ParseFloat accepts NaN and Inf, and
+// every range check is false for NaN, so these stage arguments used to
+// parse — and a rate of Inf or 1e300 then panicked the fleet's device
+// construction. Every numeric argument must now be finite, and a rate
+// must lie in [MinStageHz, MaxStageHz].
+func TestParseFleetNonFinite(t *testing.T) {
+	for _, stage := range []string{
+		"resample:NaN", "resample:Inf", "resample:-Inf", "resample:1e300", "resample:1e-300",
+		"ratelimit:NaN", "ratelimit:+Inf", "ratelimit:1e300", "ratelimit:1e-300",
+		"skew:NaN", "spike:NaN:8", "spike:0.1:NaN", "spike:0.1:Inf",
+		"calib:NaN", "calib:Inf", "calib:1:NaN", "calib:1:-Inf",
+		"dropout:NaN:5ms", "stuck:NaN:5ms",
+	} {
+		spec := "a=synth|" + stage
+		if members, err := ParseFleet(spec, 1); err == nil {
+			members[0].Src.Close()
+			t.Errorf("ParseFleet(%q) succeeded, want error", spec)
+		}
+	}
+	for _, stage := range []string{"resample:1e6", "resample:1e-3", "ratelimit:1e6", "ratelimit:1e-3"} {
+		members, err := ParseFleet("a=synth|"+stage, 1)
+		if err != nil {
+			t.Errorf("%s at the rate bound refused: %v", stage, err)
+			continue
+		}
+		members[0].Src.Close()
+	}
+}
+
 // TestStationsProducePower advances each station kind in isolation and
 // checks its workload actually moves energy — GPU kernels, SoC load, SSD
 // I/O and CPU duty cycles all show up on the station's source, whether it
