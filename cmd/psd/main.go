@@ -11,8 +11,7 @@
 //
 //	psd [-listen :9120] [-fleet spec] [-seed 1] [-rate 1] [-slice 5ms]
 //	    [-block 20] [-ring 4096] [-shards 8] [-history 1048576]
-//	    [-history-sync 1s] [-warmup 2s] [-log-format text]
-//	    [-debug-addr addr] [-version]
+//	    [-warmup 2s] [-log-format text] [-debug-addr addr] [-version]
 //
 //	psd -federate leaves [-federate-interval 1s] [-federate-timeout dur]
 //	    [-listen :9120] [-log-format text] [-debug-addr addr]
@@ -70,13 +69,10 @@
 //	-history     per-station compressed history budget, in bytes (default
 //	             1 MiB — weeks of millisecond-averaged points at the tier's
 //	             typical >4x compression). The long-horizon tier sits behind
-//	             each station's ring and answers the windowed energy API;
-//	             negative disables it, leaving energy queries to the ring's
-//	             short retention
-//	-history-sync  how often the daemon drains every station's ring into
-//	             its history series (default 1s). Syncs also happen on
-//	             every query and at retirement; the timer bounds how much
-//	             a ring can wrap between queries. 0 disables the timer
+//	             each station's ring, takes every ring point as the station
+//	             steps, and answers the windowed energy API; negative
+//	             disables it, leaving energy queries to the ring's short
+//	             retention
 //	-warmup      virtual time advanced synchronously before serving, so the
 //	             first scrape already sees data
 //	-log-format  "text" (default) or "json": structured log/slog output on
@@ -96,8 +92,8 @@
 //	               psd -federate @/etc/psd/leaves.conf
 //
 //	             The fleet-building flags (-fleet, -seed, -rate, -slice,
-//	             -block, -ring, -shards, -history, -history-sync,
-//	             -warmup) do not apply to a head and are rejected if set
+//	             -block, -ring, -shards, -history, -warmup) do not apply
+//	             to a head and are rejected if set
 //	-federate-interval  head poll cadence per leaf (default 1s)
 //	-federate-timeout   per-attempt poll timeout against one leaf
 //	             (default half the interval, clamped to [50ms, 2s]); a
@@ -235,8 +231,6 @@ func main() {
 	shards := flag.Int("shards", 8, "fleet shard count, 1-64 (1 = unsharded)")
 	histBytes := flag.Int("history", 0,
 		"per-station compressed history budget in bytes (0 = 1 MiB default, negative = disabled)")
-	histSync := flag.Duration("history-sync", time.Second,
-		"ring-to-history sync interval (0 = timer off; queries still sync)")
 	warmup := flag.Duration("warmup", 2*time.Second, "virtual time simulated before serving")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	debugAddr := flag.String("debug-addr", "",
@@ -289,7 +283,7 @@ func main() {
 		os.Exit(2)
 	}
 	if err := run(*listen, *debugAddr, *spec, *seed, *rate, *slice, *block, *ring,
-		*shards, *histBytes, *histSync, *warmup, logger); err != nil {
+		*shards, *histBytes, *warmup, logger); err != nil {
 		logger.Error("exiting", "err", err)
 		os.Exit(1)
 	}
@@ -301,7 +295,7 @@ func fleetFlagsSet() []string {
 	fleetOnly := map[string]bool{
 		"fleet": true, "seed": true, "rate": true, "slice": true,
 		"block": true, "ring": true, "shards": true, "history": true,
-		"history-sync": true, "warmup": true,
+		"warmup": true,
 	}
 	var set []string
 	flag.Visit(func(f *flag.Flag) {
@@ -519,7 +513,7 @@ func serveUntilSignal(srv, dsrv *http.Server, logger *slog.Logger) error {
 }
 
 func run(listen, debugAddr, spec string, seed uint64, rate float64,
-	slice time.Duration, block, ring, shards, histBytes int, histSync,
+	slice time.Duration, block, ring, shards, histBytes int,
 	warmup time.Duration, logger *slog.Logger) error {
 	mgr, handler, err := setup(spec, seed, rate, slice, block, ring, shards,
 		histBytes, warmup, logger)
@@ -530,30 +524,6 @@ func run(listen, debugAddr, spec string, seed uint64, rate float64,
 	// against a live manager, then the stations retire.
 	defer mgr.Close()
 	mgr.Start()
-
-	// The history sync timer: drain every station's ring into its
-	// compressed series so points survive ring wraparound even when no
-	// query arrives. Queries and retirement sync on their own; the timer
-	// only bounds the wraparound exposure between them.
-	if histBytes >= 0 && histSync > 0 {
-		stopSync := make(chan struct{})
-		defer close(stopSync)
-		go func() {
-			tick := time.NewTicker(histSync)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopSync:
-					return
-				case <-tick.C:
-					if _, missed := mgr.SyncHistory(); missed > 0 {
-						logger.Warn("history sync missed ring points; "+
-							"raise -ring or lower -history-sync", "missed", missed)
-					}
-				}
-			}
-		}()
-	}
 
 	var dsrv *http.Server
 	if debugAddr != "" {

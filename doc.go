@@ -188,11 +188,11 @@
 // per-station tier holding the summed-power points the ring would
 // otherwise overwrite:
 //
-//	ingest (20 kHz)  ─── fold ───►  downsample ring     zero-alloc, never
-//	                                 │                   touches the tier
-//	                                 │ SyncHistory: pull-based drain,
-//	                                 │ cursored by absolute push ordinal
-//	                                 ▼ (wraparound counted, not skipped)
+//	ingest (20 kHz)  ─── fold ───►  downsample ring
+//	                                 │
+//	                                 │ the same flush, same step: one
+//	                                 │ batched AppendN per step, under
+//	                                 ▼ the station's ingest mutex
 //	                          history.Series
 //	                    delta-of-delta timestamps +
 //	                    XOR-compressed floats (Gorilla-style),
@@ -204,10 +204,15 @@
 //	          trapezoidal integration, partial-interval clipping at
 //	          both edges; sealed-block sums make interior blocks O(1)
 //
-// The tier is pull-based by design: ingest never touches it, so the
-// zero-allocation contract above is untouched, and sync passes (every
-// query, the daemon's -history-sync timer, retirement) drain the ring
-// under its own lock. Eviction is by byte budget (fleet.Config.
+// History is written at the step: the flush that pushes a step's
+// finished points into the ring appends them to the series in one
+// batched call, so the series is current whenever a step returns and no
+// ring wraparound can lose a point on its way there. The append runs in
+// the shard step workers, is timed inside the fold histogram, and
+// allocates only when a block seals (the block's exact-size bits).
+// Queries copy block summaries and the head block's bits under the
+// series lock and decode after releasing it, so a long export never
+// stalls a station's step. Eviction is by byte budget (fleet.Config.
 // HistoryBytes, psd -history), oldest block first, with every drop
 // counted. Windowed queries clip partial intervals at both window edges
 // rather than snapping to point boundaries, and hold the zero-interval
@@ -220,7 +225,7 @@
 // EnergyWindow over the same span measure the same energy. Served by
 // psd as GET /api/device/{name}/energy and a decimated long-range
 // /api/device/{name}/history trace export; footprint, compression ratio
-// and sync/query latency export as powersensor_self_history_* families.
+// and query latency export as powersensor_self_history_* families.
 //
 // # Multi-daemon federation
 //
@@ -279,7 +284,7 @@
 //
 //	psd [-listen :9120] [-fleet name=kindspec,...]
 //	    [-seed 1] [-rate 1] [-slice 5ms] [-block 20] [-ring 4096] [-shards 8]
-//	    [-history 1048576] [-history-sync 1s]
+//	    [-history 1048576]
 //	    [-warmup 2s] [-log-format text|json] [-debug-addr addr] [-version]
 //
 //	psd -federate leaf1=host1:9120,leaf2=host2:9120 [-federate-interval 1s]

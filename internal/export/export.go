@@ -70,6 +70,7 @@
 package export
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -264,7 +265,7 @@ var (
 	// render fresh on every scrape, after (and outside) the cached fleet
 	// section.
 	hdrSelfIngestFold = header(famIngestFold,
-		"Latency of folding one ingest step's batch into the downsample state, fleet-wide, sampled 1-in-32 steps.", "histogram")
+		"Latency of folding one ingest step's batch into the downsample state, history append included, fleet-wide, sampled 1-in-32 steps.", "histogram")
 	hdrSelfPacing = header(famPacing,
 		"How far past its absolute schedule each paced driver slice completed; empty on unpaced fleets.", "histogram")
 	hdrSelfStageRead = header(famStageRead,
@@ -295,12 +296,8 @@ var (
 		"Sealed compressed blocks held across every station's history series.", "gauge")
 	hdrSelfHistRatio = header("powersensor_self_history_compression_ratio",
 		"Fleet-wide history compression ratio: raw float64 bytes over compressed bytes; 0 while empty.", "gauge")
-	hdrSelfHistMissed = header("powersensor_self_history_ring_missed_total",
-		"Ring points lost to wraparound before a history sync pass could drain them.", "counter")
-	hdrSelfHistAppend = header(famHistAppend,
-		"Time one station's ring-to-history sync pass took, drain and compressed append included.", "histogram")
 	hdrSelfHistQuery = header(famHistQuery,
-		"Time one windowed energy query took, its pre-query sync included.", "histogram")
+		"Time one windowed energy query took.", "histogram")
 	hdrBuildInfo = header("powersensor_build_info",
 		"Build identity of this daemon; always 1.", "gauge")
 	hdrScrapeDuration = header("powersensor_scrape_duration_seconds",
@@ -317,7 +314,6 @@ const (
 	famScrape      = "powersensor_self_scrape_seconds"
 	famShardRender = "powersensor_self_shard_render_seconds"
 	famShardStep   = "powersensor_self_shard_step_seconds"
-	famHistAppend  = "powersensor_self_history_append_seconds"
 	famHistQuery   = "powersensor_self_history_query_seconds"
 )
 
@@ -614,8 +610,8 @@ func (e *Exporter) appendSelf(buf []byte, hs *obs.HistSnapshot, began time.Time)
 		ratio = float64(held) / float64(capacity)
 	}
 	buf = appendSample(buf, "powersensor_self_ring_fill_ratio", "", ratio)
-	// The history tier's footprint and drain health, aggregated from the
-	// per-station atomic counters, plus the shared sync/query timings.
+	// The history tier's footprint, aggregated from the per-station
+	// atomic counters, plus the shared query timings.
 	hist := e.mgr.HistoryStats()
 	buf = append(buf, hdrSelfHistPoints...)
 	buf = appendSample(buf, "powersensor_self_history_points", "", float64(hist.Points))
@@ -625,11 +621,6 @@ func (e *Exporter) appendSelf(buf []byte, hs *obs.HistSnapshot, began time.Time)
 	buf = appendSample(buf, "powersensor_self_history_blocks", "", float64(hist.Blocks))
 	buf = append(buf, hdrSelfHistRatio...)
 	buf = appendSample(buf, "powersensor_self_history_compression_ratio", "", hist.Ratio())
-	buf = append(buf, hdrSelfHistMissed...)
-	buf = appendSample(buf, "powersensor_self_history_ring_missed_total", "", float64(hist.RingMissed))
-	buf = append(buf, hdrSelfHistAppend...)
-	e.mgr.HistoryAppendHist().Snapshot(hs)
-	buf = appendHist(buf, famHistAppend+"_bucket", famHistAppend+"_sum", famHistAppend+"_count", histPlainSeries, hs)
 	buf = append(buf, hdrSelfHistQuery...)
 	e.mgr.HistoryQueryHist().Snapshot(hs)
 	buf = appendHist(buf, famHistQuery+"_bucket", famHistQuery+"_sum", famHistQuery+"_count", histPlainSeries, hs)
@@ -739,8 +730,7 @@ func (e *Exporter) deviceTrace(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = tr.WriteJSON(w)
+		writeTraceJSON(w, tr)
 	default:
 		http.Error(w, fmt.Sprintf("bad format=%q (want csv or json)", format),
 			http.StatusBadRequest)
@@ -784,17 +774,6 @@ func windowOf(r *http.Request, d *fleet.Device) (from, to time.Duration, err err
 	return from, to, nil
 }
 
-// energyAnswer is the /api/device/{name}/energy response body.
-type energyAnswer struct {
-	Device      string  `json:"device"`
-	FromSeconds float64 `json:"from_seconds"`
-	ToSeconds   float64 `json:"to_seconds"`
-	Joules      float64 `json:"joules"`
-	// MeanWatts is Joules over the window's width; 0 on an empty or
-	// inverted window, by the zero-interval contract — never NaN.
-	MeanWatts float64 `json:"mean_watts"`
-}
-
 // deviceEnergy serves a windowed energy query over one station's
 // long-horizon history tier (or its ring, on stations running without
 // the tier): the HTTP face of Device.EnergyWindow.
@@ -811,19 +790,48 @@ func (e *Exporter) deviceEnergy(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ans := energyAnswer{
-		Device:      name,
-		FromSeconds: from.Seconds(),
-		ToSeconds:   to.Seconds(),
-		Joules:      d.EnergyWindow(from, to),
-	}
+	joules := d.EnergyWindow(from, to)
+	var meanWatts float64
 	if width := (to - from).Seconds(); width > 0 {
-		ans.MeanWatts = ans.Joules / width
+		meanWatts = joules / width
+	}
+	body := appendEnergyJSON(make([]byte, 0, 128), name, from, to, joules, meanWatts)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
+}
+
+// appendEnergyJSON appends the /api/device/{name}/energy body: the
+// device, the window's edges in seconds, the joules inside it and the
+// mean watts over it (0 on an empty or inverted window, by the
+// zero-interval contract). A non-finite energy — a station reading
+// ±Inf — is written as null rather than failing the answer.
+func appendEnergyJSON(b []byte, device string, from, to time.Duration, joules, meanWatts float64) []byte {
+	b = append(b, `{"device":`...)
+	b = AppendJSONString(b, device)
+	b = append(b, `,"from_seconds":`...)
+	b = appendJSONFloat(b, from.Seconds())
+	b = append(b, `,"to_seconds":`...)
+	b = appendJSONFloat(b, to.Seconds())
+	b = append(b, `,"joules":`...)
+	b = appendJSONFloat(b, joules)
+	b = append(b, `,"mean_watts":`...)
+	b = appendJSONFloat(b, meanWatts)
+	return append(b, "}\n"...)
+}
+
+// writeTraceJSON answers with tr's JSON encoding, built in a buffer
+// first: encoding/json refuses NaN and ±Inf readings, and that refusal
+// becomes a 500 naming it instead of a 200 with an empty body.
+func writeTraceJSON(w http.ResponseWriter, tr *trace.Trace) {
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		http.Error(w, fmt.Sprintf("encoding trace: %v", err), http.StatusInternalServerError)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(ans)
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	_, _ = w.Write(buf.Bytes())
 }
 
 // deviceHistory serves a long-range summed-power trace decoded from one
@@ -881,8 +889,7 @@ func (e *Exporter) deviceHistory(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = tr.WriteJSON(w)
+		writeTraceJSON(w, tr)
 	default:
 		http.Error(w, fmt.Sprintf("bad format=%q (want csv or json)", format),
 			http.StatusBadRequest)

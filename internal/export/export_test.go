@@ -243,7 +243,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"# TYPE powersensor_station_spikes_quarantined_total counter",
 		"# HELP powersensor_station_restarts_total Source restart attempts the watchdog issued per station.",
 		"# TYPE powersensor_station_restarts_total counter",
-		"# HELP powersensor_self_ingest_fold_seconds Latency of folding one ingest step's batch into the downsample state, fleet-wide, sampled 1-in-32 steps.",
+		"# HELP powersensor_self_ingest_fold_seconds Latency of folding one ingest step's batch into the downsample state, history append included, fleet-wide, sampled 1-in-32 steps.",
 		"# TYPE powersensor_self_ingest_fold_seconds histogram",
 		"# HELP powersensor_self_pacing_late_seconds How far past its absolute schedule each paced driver slice completed; empty on unpaced fleets.",
 		"# TYPE powersensor_self_pacing_late_seconds histogram",
@@ -275,11 +275,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"# TYPE powersensor_self_history_blocks gauge",
 		"# HELP powersensor_self_history_compression_ratio Fleet-wide history compression ratio: raw float64 bytes over compressed bytes; 0 while empty.",
 		"# TYPE powersensor_self_history_compression_ratio gauge",
-		"# HELP powersensor_self_history_ring_missed_total Ring points lost to wraparound before a history sync pass could drain them.",
-		"# TYPE powersensor_self_history_ring_missed_total counter",
-		"# HELP powersensor_self_history_append_seconds Time one station's ring-to-history sync pass took, drain and compressed append included.",
-		"# TYPE powersensor_self_history_append_seconds histogram",
-		"# HELP powersensor_self_history_query_seconds Time one windowed energy query took, its pre-query sync included.",
+		"# HELP powersensor_self_history_query_seconds Time one windowed energy query took.",
 		"# TYPE powersensor_self_history_query_seconds histogram",
 		"# HELP powersensor_build_info Build identity of this daemon; always 1.",
 		"# TYPE powersensor_build_info gauge",
@@ -496,8 +492,8 @@ func TestScrapeUnderIngestLoad(t *testing.T) {
 					}
 				}
 				// 41 families × (HELP + TYPE).
-				if comments != 82 {
-					t.Errorf("scrape under load has %d comment lines, want 82", comments)
+				if comments != 78 {
+					t.Errorf("scrape under load has %d comment lines, want 78", comments)
 					return
 				}
 				m := regexp.MustCompile(`powersensor_samples_total\{device="s0"\} ([0-9]+)`).
@@ -804,8 +800,8 @@ func TestScrapeDuringChurn(t *testing.T) {
 						return
 					}
 				}
-				if comments != 82 {
-					t.Errorf("scrape during churn has %d comment lines, want 82", comments)
+				if comments != 78 {
+					t.Errorf("scrape during churn has %d comment lines, want 78", comments)
 					return
 				}
 				adopted := counter(body, "powersensor_fleet_adopted_total")
@@ -1030,8 +1026,8 @@ func TestScrapeDuringChurnFaulted(t *testing.T) {
 						return
 					}
 				}
-				if comments != 82 {
-					t.Errorf("faulted scrape has %d comment lines, want 82", comments)
+				if comments != 78 {
+					t.Errorf("faulted scrape has %d comment lines, want 78", comments)
 					return
 				}
 				for _, dev := range []string{"keep0", "keep1"} {
@@ -1247,14 +1243,11 @@ func TestDeviceHistoryEndpoint(t *testing.T) {
 }
 
 // TestMetricsHistorySelfTelemetry checks the history tier's self tail:
-// after a sync and a query the footprint gauges are live, the
-// compression ratio clears the tier's 4x floor, and both latency
-// histograms carry observations.
+// after the warm-up steps and a query the footprint gauges are live,
+// the compression ratio clears the tier's 4x floor, and the query
+// latency histogram carries observations.
 func TestMetricsHistorySelfTelemetry(t *testing.T) {
 	srv, mgr := testServer(t)
-	if appended, _ := mgr.SyncHistory(); appended == 0 {
-		t.Fatal("warm fleet synced no history points")
-	}
 	mgr.EnergyWindow(0, 300*time.Millisecond)
 
 	_, body := get(t, srv.URL+"/metrics")
@@ -1270,21 +1263,15 @@ func TestMetricsHistorySelfTelemetry(t *testing.T) {
 		return v
 	}
 	if pts := num("powersensor_self_history_points"); pts == 0 {
-		t.Error("history points gauge empty after a sync")
+		t.Error("history points gauge empty after stepping")
 	}
 	if b := num("powersensor_self_history_bytes"); b == 0 {
-		t.Error("history bytes gauge empty after a sync")
+		t.Error("history bytes gauge empty after stepping")
 	}
 	if ratio := num("powersensor_self_history_compression_ratio"); ratio < 4 {
 		t.Errorf("compression ratio = %v, want >= 4", ratio)
 	}
-	if n := num("powersensor_self_history_append_seconds_count"); n == 0 {
-		t.Error("append histogram never recorded a sync pass")
-	}
 	if n := num("powersensor_self_history_query_seconds_count"); n == 0 {
 		t.Error("query histogram never recorded a window query")
-	}
-	if missed := num("powersensor_self_history_ring_missed_total"); missed != 0 {
-		t.Errorf("ring missed counter = %v on a promptly synced fleet", missed)
 	}
 }

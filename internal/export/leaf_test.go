@@ -165,6 +165,65 @@ func TestFleetJSONNonFinite(t *testing.T) {
 	}
 }
 
+// TestNonFiniteEnergyHistoryTraceJSON pins the leaf's other JSON
+// answers on a station reading +Inf: the energy answer writes its
+// non-finite numbers as null, and the history and trace JSON exports,
+// whose encoding refuses them, answer 500 naming the refusal — none of
+// them a 200 with an empty body. A healthy station beside it answers
+// each path with a body that decodes.
+func TestNonFiniteEnergyHistoryTraceJSON(t *testing.T) {
+	_, srv := wireLeaf(t, "inf=synth|calib:1e308:1e308,ok=synth")
+	for _, tc := range []struct {
+		path string
+		code int
+	}{
+		{"/api/device/inf/energy", http.StatusOK},
+		{"/api/device/inf/history?format=json", http.StatusInternalServerError},
+		{"/api/device/inf/trace?format=json", http.StatusInternalServerError},
+		{"/api/device/ok/energy", http.StatusOK},
+		{"/api/device/ok/history?format=json", http.StatusOK},
+		{"/api/device/ok/trace?format=json", http.StatusOK},
+	} {
+		resp, err := http.Get(srv.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.code || len(body) == 0 {
+			t.Errorf("%s: status %d with a %d-byte body, want %d with a body",
+				tc.path, resp.StatusCode, len(body), tc.code)
+			continue
+		}
+		if tc.code != http.StatusOK {
+			if !strings.Contains(string(body), "unsupported value") {
+				t.Errorf("%s: error body %q does not name the refused value", tc.path, body)
+			}
+			continue
+		}
+		var v map[string]any
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Errorf("%s: %v in %q", tc.path, err, body)
+			continue
+		}
+		if !strings.HasSuffix(tc.path, "/energy") {
+			continue
+		}
+		for _, k := range []string{"joules", "mean_watts"} {
+			got, ok := v[k]
+			if !ok {
+				t.Errorf("%s: answer lacks %s: %s", tc.path, k, body)
+			}
+			if nonFinite := strings.HasPrefix(tc.path, "/api/device/inf/"); nonFinite != (got == nil) {
+				t.Errorf("%s: %s = %v, want null exactly on the +Inf station", tc.path, k, got)
+			}
+		}
+	}
+}
+
 // TestFleetJSONMatchesEncodingJSON pins the encoder's output, byte for
 // byte, to encoding/json's compact encoding of the same FleetJSON — the
 // member set, their order and every number's spelling — for statuses

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/history"
 	"repro/internal/obs"
 	"repro/internal/source"
 	"repro/internal/trace"
@@ -235,11 +236,11 @@ type Device struct {
 	events *obs.EventRing
 
 	// Long-horizon history tier (see history.go in this package): the
-	// compressed series the ring drains into on sync passes, nil when
-	// Config.HistoryBytes disables it. The latency histograms are the
-	// manager's shared ones, nil on directly constructed test devices.
-	hist                  *deviceHistory
-	histAppend, histQuery *obs.Hist
+	// compressed series every flush appends to, nil when
+	// Config.HistoryBytes disables it. The query latency histogram is
+	// the manager's shared one, nil on directly constructed test devices.
+	hist      *history.Series
+	histQuery *obs.Hist
 
 	pub pub
 }
@@ -471,12 +472,13 @@ func (d *Device) emit(t time.Duration) {
 	d.accSum = 0
 }
 
-// flush moves the staged points into the ring under one lock acquisition
-// and fans them out to subscribers. Fan-out is the only allocating path
-// left in ingest, and only when subscribers are attached: each delivered
-// point needs its own Watts copy, since ring slots and the staging area
-// are both recycled. Called with d.mu held, at staging capacity and at
-// the end of every step.
+// flush moves the staged points into the ring and the history series,
+// one lock acquisition each, and fans them out to subscribers. Besides
+// a history block seal, fan-out is the only allocating path left in
+// ingest, and only when subscribers are attached: each delivered point
+// needs its own Watts copy, since ring slots and the staging area are
+// both recycled. Called with d.mu held, at staging capacity and at the
+// end of every step.
 func (d *Device) flush() {
 	if d.pendN == 0 {
 		return
@@ -484,6 +486,9 @@ func (d *Device) flush() {
 	n := d.pendN
 	d.ring.PushN(d.pendTime[:n], d.pendWatts[:n*d.chans],
 		d.pendTotal[:n], d.pendMin[:n], d.pendMax[:n], d.pendMarks[:n])
+	if d.hist != nil {
+		d.hist.AppendN(d.pendTime[:n], d.pendTotal[:n])
+	}
 	d.ringTotal += uint64(n)
 	if len(d.subs) > 0 {
 		for i := 0; i < n; i++ {
@@ -574,10 +579,10 @@ const foldSampleEvery = 32
 
 // step advances the station by dt of virtual time, ingesting the batch
 // the source produced over it and refreshing the published telemetry.
-// On sampled steps the fold (despike + ingest + flush + publish, source
-// read excluded) is timed into the manager's shared fold histogram; the
-// timed path is identical to the untimed one apart from the clock reads,
-// so the sample is unbiased.
+// On sampled steps the fold (despike + ingest + flush, its history
+// append included, + publish; source read excluded) is timed into the
+// manager's shared fold histogram; the timed path is identical to the
+// untimed one apart from the clock reads, so the sample is unbiased.
 //
 // The health watchdog brackets the read: a source in a restart backoff
 // window (or parked for good) is not read at all — its virtual time
@@ -790,12 +795,6 @@ func (d *Device) close() bool {
 	}
 	d.flush()
 	d.publish()
-	// Final history sync: the drain point just flushed reaches the
-	// compressed series before the ring detaches onto its compact copy,
-	// so retired-station energy windows cover the full measured span.
-	// SyncHistory takes only the ring's and the tier's own locks, never
-	// d.mu, so calling it here (d.mu held) cannot deadlock.
-	d.SyncHistory()
 	d.closed = true
 	for id, ch := range d.subs {
 		delete(d.subs, id)

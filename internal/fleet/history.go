@@ -1,119 +1,43 @@
 // The fleet side of the long-horizon history tier (internal/history):
-// each station owns a compressed Series fed by draining its downsample
-// ring, and answers windowed energy queries over it.
+// each station owns a compressed Series and answers windowed energy
+// queries over it.
 //
-// The tier is pull-based by design. Ingest never touches it — the
-// 20 kHz fold stays zero-alloc and history-free — and instead a sync
-// pass (every query, the daemon's timer, retirement) drains the ring
-// points produced since the last pass into the series, addressed by the
-// ring's absolute push ordinals so any number of wraparounds between
-// passes are detected (and counted) rather than silently skipped.
+// History is written at the ingest step. Every flush that pushes a
+// step's finished points into the ring appends the same points to the
+// series in one batched call, under the device's ingest mutex (lock
+// order: device mutex, then series lock — close takes them the same
+// way). The series is therefore current whenever a step returns, and
+// no ring wraparound can lose a point before it reaches history.
 
 package fleet
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/history"
 )
 
-// deviceHistory is one station's history-tier state: the compressed
-// series plus the drain cursor over the ring's absolute push ordinals.
-// Its own mutex serialises sync passes; it never nests with the
-// device's ingest mutex, so a history drain can never stall ingest.
-type deviceHistory struct {
-	mu     sync.Mutex
-	series *history.Series
-	cursor uint64
-	missed atomic.Uint64 // ring points lost to wraparound between syncs
-}
-
-// newHistoryFor builds a station's history state from cfg; nil when the
-// tier is disabled (negative HistoryBytes).
-func newHistoryFor(cfg Config) *deviceHistory {
+// newHistoryFor builds a station's compressed history series from cfg;
+// nil when the tier is disabled (negative HistoryBytes).
+func newHistoryFor(cfg Config) *history.Series {
 	if cfg.HistoryBytes < 0 {
 		return nil
 	}
-	return &deviceHistory{series: history.New(history.Config{
+	return history.New(history.Config{
 		MaxBytes: cfg.HistoryBytes,
 		Quantum:  cfg.HistoryQuantum,
-	})}
-}
-
-// drainChunk is the ring points one DrainInto pass copies; the scratch
-// lives in a pool so concurrent sync passes across stations neither
-// share a buffer nor allocate one per pass.
-const drainChunk = 512
-
-type drainBuf struct {
-	t [drainChunk]time.Duration
-	w [drainChunk]float64
-}
-
-var drainScratch = sync.Pool{New: func() any { return new(drainBuf) }}
-
-// HistoryStats is a station's (or, summed, a fleet's) history-tier
-// accounting: the series' own compression and eviction counters plus
-// the drain-side loss counter.
-type HistoryStats struct {
-	history.Stats
-	// RingMissed counts ring points that wrapped out between sync
-	// passes and so never reached the history tier — nonzero means the
-	// sync cadence is too slow for the ring capacity.
-	RingMissed uint64 `json:"ring_missed"`
-}
-
-// SyncHistory drains the ring points produced since the last sync into
-// the station's compressed history series. It returns how many points
-// were appended and how many were missed to ring wraparound. Safe from
-// any goroutine, concurrently with ingest — the drain reads the ring
-// under the ring's own lock in bounded chunks and never takes the
-// ingest mutex. A no-op (0, 0) on stations running without the tier.
-func (d *Device) SyncHistory() (appended int, missed uint64) {
-	h := d.hist
-	if h == nil {
-		return 0, 0
-	}
-	began := time.Now()
-	h.mu.Lock()
-	buf := drainScratch.Get().(*drainBuf)
-	for {
-		n, miss, next := d.ring.DrainInto(h.cursor, buf.t[:], buf.w[:])
-		h.cursor = next
-		if miss > 0 {
-			missed += miss
-			h.missed.Add(miss)
-		}
-		if n == 0 {
-			break
-		}
-		for i := 0; i < n; i++ {
-			h.series.Append(buf.t[i], buf.w[i])
-		}
-		appended += n
-		if n < drainChunk {
-			break
-		}
-	}
-	drainScratch.Put(buf)
-	h.mu.Unlock()
-	if d.histAppend != nil {
-		d.histAppend.Record(time.Since(began))
-	}
-	return appended, missed
+	})
 }
 
 // EnergyWindow returns the station's summed-power energy over the
 // virtual-time window [from, to], in joules: the windowed-query face of
 // the interval-read model (two Read calls bracketing a workload). The
-// series is synced first, so the answer includes every ring point
-// produced so far. Integration is trapezoidal with partial-interval
-// clipping at both edges; an empty or inverted window is exactly 0 J,
-// never NaN — the same zero-interval contract as pmt.Watts. Stations
-// running without the history tier fall back to integrating the ring's
-// held points directly.
+// answer includes every ring point produced by the last completed step.
+// Integration is trapezoidal with partial-interval clipping at both
+// edges; an empty or inverted window is exactly 0 J, never NaN — the
+// same zero-interval contract as pmt.Watts. Stations running without
+// the history tier fall back to integrating the ring's held points
+// directly.
 func (d *Device) EnergyWindow(from, to time.Duration) float64 {
 	if to <= from {
 		return 0
@@ -121,8 +45,7 @@ func (d *Device) EnergyWindow(from, to time.Duration) float64 {
 	began := time.Now()
 	var j float64
 	if d.hist != nil {
-		d.SyncHistory()
-		j = d.hist.series.EnergyWindow(from, to)
+		j = d.hist.EnergyWindow(from, to)
 	} else {
 		pts := d.ring.Snapshot(0)
 		for i := 1; i < len(pts); i++ {
@@ -137,9 +60,9 @@ func (d *Device) EnergyWindow(from, to time.Duration) float64 {
 }
 
 // HistoryInto appends the station's stored history points with
-// timestamps in [from, to] to dst, oldest first, after syncing the
-// series — the decode path long-range trace exports use. Stations
-// running without the tier fall back to the ring's held points.
+// timestamps in [from, to] to dst, oldest first — the decode path
+// long-range trace exports use. Stations running without the tier fall
+// back to the ring's held points.
 func (d *Device) HistoryInto(dst []history.Point, from, to time.Duration) []history.Point {
 	if d.hist == nil {
 		for _, p := range d.ring.Snapshot(0) {
@@ -149,45 +72,33 @@ func (d *Device) HistoryInto(dst []history.Point, from, to time.Duration) []hist
 		}
 		return dst
 	}
-	d.SyncHistory()
-	return d.hist.series.PointsInto(dst, from, to)
+	return d.hist.PointsInto(dst, from, to)
 }
 
 // HistoryBounds returns the timestamps of the oldest and newest history
-// points held after a sync, and whether any are held at all.
+// points held, and whether any are held at all.
 func (d *Device) HistoryBounds() (first, last time.Duration, ok bool) {
 	if d.hist == nil {
 		return 0, 0, false
 	}
-	d.SyncHistory()
-	return d.hist.series.Bounds()
+	return d.hist.Bounds()
 }
 
-// HistoryStats returns the station's history-tier accounting. The
-// series counters are atomic and the missed counter likewise, so this
-// is safe per station per scrape without locks.
-func (d *Device) HistoryStats() HistoryStats {
-	var hs HistoryStats
-	if d.hist != nil {
-		hs.Stats = d.hist.series.Stats()
-		hs.RingMissed = d.hist.missed.Load()
+// HistoryStats returns the station's history-tier accounting from the
+// series' atomic counters, so it is safe per station per scrape without
+// locks. Zero on stations running without the tier.
+func (d *Device) HistoryStats() history.Stats {
+	if d.hist == nil {
+		return history.Stats{}
 	}
-	return hs
+	return d.hist.Stats()
 }
 
-// SyncHistory drains every station's ring into its history series —
-// the fleet-wide pass a daemon runs on a timer so ring wraparound
-// between queries loses nothing. Returns the totals across stations.
-func (m *Manager) SyncHistory() (appended int, missed uint64) {
-	for s := range m.shards {
-		for _, d := range m.shards[s].list() {
-			a, miss := d.SyncHistory()
-			appended += a
-			missed += miss
-		}
-	}
-	return appended, missed
-}
+// SyncHistory is a no-op that always returns (0, 0). History is written
+// at every ingest step, so there is nothing left to drain; the method
+// remains only because perfbench, whose code changes only together with
+// the benchmark's definition, still calls it.
+func (m *Manager) SyncHistory() (appended int, missed uint64) { return 0, 0 }
 
 // EnergyWindow sums Device.EnergyWindow over the fleet: the total
 // energy every current station spent inside [from, to], in joules.
@@ -204,8 +115,8 @@ func (m *Manager) EnergyWindow(from, to time.Duration) float64 {
 
 // HistoryStats sums every current station's history-tier accounting —
 // the scrape-path aggregate, assembled from atomic counters only.
-func (m *Manager) HistoryStats() HistoryStats {
-	var hs HistoryStats
+func (m *Manager) HistoryStats() history.Stats {
+	var hs history.Stats
 	for s := range m.shards {
 		for _, d := range m.shards[s].list() {
 			st := d.HistoryStats()
@@ -215,7 +126,6 @@ func (m *Manager) HistoryStats() HistoryStats {
 			hs.EvictedPoints += st.EvictedPoints
 			hs.Blocks += st.Blocks
 			hs.Bytes += st.Bytes
-			hs.RingMissed += st.RingMissed
 		}
 	}
 	return hs

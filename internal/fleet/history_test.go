@@ -1,9 +1,9 @@
 package fleet
 
 // Tests for the long-horizon history tier's fleet wiring: windowed
-// energy queries against the backends' own energy integrals, the
-// ring→history drain across wraparound, and query behaviour through
-// station churn.
+// energy queries against the backends' own energy integrals, history
+// written at the step across ring wraparound, query behaviour through
+// station churn, and queries racing the step workers.
 
 import (
 	"math"
@@ -55,9 +55,9 @@ func TestEnergyWindowMatchesBackendJoules(t *testing.T) {
 }
 
 // TestEnergyWindowSpansRingBoundary pins the tier's reason to exist:
-// with a 64-point ring (64 ms of points) and periodic syncs, a window
-// reaching far behind the ring's retention still answers exactly,
-// because the drained points live on in the compressed series.
+// with a 64-point ring (64 ms of points), a window reaching far behind
+// the ring's retention still answers exactly, because every point the
+// steps produced lives on in the compressed series.
 func TestEnergyWindowSpansRingBoundary(t *testing.T) {
 	m := NewManager(Config{RingCap: 64})
 	defer m.Close()
@@ -69,9 +69,6 @@ func TestEnergyWindowSpansRingBoundary(t *testing.T) {
 	var t1, t2 time.Duration
 	for now := time.Duration(0); now < 2*time.Second; now += 20 * time.Millisecond {
 		m.StepAll(20 * time.Millisecond)
-		if _, missed := d.SyncHistory(); missed != 0 {
-			t.Fatalf("sync every 20 ms against a 64-point ring missed %d points", missed)
-		}
 		switch st := d.Status(); st.Now {
 		case 100 * time.Millisecond:
 			j1, t1 = st.Joules, st.Now
@@ -93,34 +90,37 @@ func TestEnergyWindowSpansRingBoundary(t *testing.T) {
 	}
 }
 
-// TestSyncHistoryCountsWraparoundMisses pins the drain cursor's honesty:
-// points the ring overwrote between syncs are reported missed, never
-// silently skipped — and the series still accepts everything that
-// survived.
-func TestSyncHistoryCountsWraparoundMisses(t *testing.T) {
+// TestRingWraparoundLosesNothing pins history written at the step: a
+// 64-slot ring stepped 500 ms (~500 points) with no query in between
+// wraps many times over, yet the series holds every point the ring was
+// ever pushed, and its integral equals the stub's own.
+func TestRingWraparoundLosesNothing(t *testing.T) {
 	m := NewManager(Config{RingCap: 64})
 	defer m.Close()
 	d, err := m.Add("wrapped", "stub", &stubSource{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 500 ms produces ~500 ring points against 64 slots with no sync in
-	// between: most points wrap out before the first drain sees them.
 	m.StepAll(500 * time.Millisecond)
-	appended, missed := d.SyncHistory()
-	if missed == 0 {
-		t.Fatal("no misses reported after overrunning the ring unsynced")
+	st := d.Status()
+	if st.RingTotal <= 64 {
+		t.Fatalf("ring pushed %d points, not past its 64 slots", st.RingTotal)
 	}
-	if appended == 0 || appended > 64 {
-		t.Fatalf("drain appended %d points from a 64-slot ring", appended)
+	if hs := d.HistoryStats(); hs.Appended != st.RingTotal || hs.Dropped != 0 {
+		t.Fatalf("history appended %d (dropped %d) of %d ring points",
+			hs.Appended, hs.Dropped, st.RingTotal)
 	}
-	if hs := d.HistoryStats(); hs.RingMissed != missed {
-		t.Fatalf("stats report %d missed, sync returned %d", hs.RingMissed, missed)
+	// The stub holds 60 W flat, so the trapezoid over the stored span is
+	// exact: the stub's joules less what it integrated before the first
+	// stored point.
+	first, _, ok := d.HistoryBounds()
+	if !ok {
+		t.Fatal("history holds no points")
 	}
-	// The surviving span still answers; a second sync with no new points
-	// is a clean no-op.
-	if a2, m2 := d.SyncHistory(); a2 != 0 || m2 != 0 {
-		t.Fatalf("idle re-sync moved %d points, missed %d — cursor drifted", a2, m2)
+	got := d.EnergyWindow(0, st.Now)
+	want := st.Joules - 60*first.Seconds()
+	if rel := math.Abs(got-want) / want; rel > 1e-9 {
+		t.Fatalf("EnergyWindow(0, %v) = %v J, stub integrated %v J", st.Now, got, want)
 	}
 }
 
@@ -141,8 +141,8 @@ func TestHistorySurvivesChurn(t *testing.T) {
 	if err := m.Remove("churny"); err != nil {
 		t.Fatal(err)
 	}
-	// The retired handle: close drained the partial block and synced it
-	// into the series, so the full measured span is still queryable.
+	// The retired handle: close flushed the partial block into the ring
+	// and the series, so the full measured span is still queryable.
 	got := d.EnergyWindow(0, st.Now)
 	if rel := math.Abs(got-st.Joules) / st.Joules; rel > 0.01 {
 		t.Fatalf("retired station EnergyWindow = %v J, lifetime Joules %v (%.2f%% off)",
@@ -211,9 +211,6 @@ func TestHistoryDisabled(t *testing.T) {
 	if hs := d.HistoryStats(); hs.Points != 0 || hs.Bytes != 0 {
 		t.Fatalf("disabled tier reports stats %+v", hs)
 	}
-	if a, miss := d.SyncHistory(); a != 0 || miss != 0 {
-		t.Fatalf("disabled tier sync moved %d points, missed %d", a, miss)
-	}
 	// 60 W flat from the stub: the ring fallback is exact over any
 	// window inside the held span.
 	got := d.EnergyWindow(50*time.Millisecond, 150*time.Millisecond)
@@ -223,8 +220,7 @@ func TestHistoryDisabled(t *testing.T) {
 }
 
 // TestManagerHistoryStatsAggregates checks the fleet-wide aggregate sums
-// across stations and that the shared latency histograms advance on
-// sync and query.
+// across stations and that the shared query latency histogram advances.
 func TestManagerHistoryStatsAggregates(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
@@ -234,12 +230,9 @@ func TestManagerHistoryStatsAggregates(t *testing.T) {
 		}
 	}
 	m.StepAll(100 * time.Millisecond)
-	if appended, missed := m.SyncHistory(); appended == 0 || missed != 0 {
-		t.Fatalf("fleet sync appended %d, missed %d", appended, missed)
-	}
 	hs := m.HistoryStats()
 	if hs.Points == 0 || hs.Bytes == 0 {
-		t.Fatalf("aggregate stats empty after sync: %+v", hs)
+		t.Fatalf("aggregate stats empty after stepping: %+v", hs)
 	}
 	var per uint64
 	for _, name := range []string{"a0", "a1", "a2"} {
@@ -248,12 +241,59 @@ func TestManagerHistoryStatsAggregates(t *testing.T) {
 	if hs.Points != per {
 		t.Fatalf("aggregate points %d != per-station sum %d", hs.Points, per)
 	}
-	if m.HistoryAppendHist().Count() == 0 {
-		t.Fatal("append histogram never recorded a sync pass")
-	}
 	m.EnergyWindow(0, 100*time.Millisecond)
 	if m.HistoryQueryHist().Count() == 0 {
 		t.Fatal("query histogram never recorded a window query")
+	}
+}
+
+// TestHistoryQueriesDuringStepAll races full-span decodes and energy
+// windows against the parallel shard workers appending at every step,
+// across block seals: queries copy what they read under the series lock
+// and decode outside it, so each answer must still be a consistent
+// prefix of the stub's flat 60 W series — strictly ascending points,
+// exact watts, and an integral matching the span it covers.
+func TestHistoryQueriesDuringStepAll(t *testing.T) {
+	m := stubFleet(t, stepParallelMin, 8)
+	m.StepAll(50 * time.Millisecond)
+	d := m.Device("s0")
+	stop := make(chan struct{})
+	stepped := make(chan struct{})
+	go func() {
+		defer close(stepped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.StepAll(5 * time.Millisecond)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-stepped
+	}()
+	deadline := time.Now().Add(time.Minute)
+	for i := 0; i < 200 || d.HistoryStats().Blocks < 2; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d queries in a minute saw %d sealed blocks, want 2",
+				i, d.HistoryStats().Blocks)
+		}
+		pts := d.HistoryInto(nil, 0, time.Hour)
+		if len(pts) < 2 {
+			t.Fatalf("full-span decode returned %d points", len(pts))
+		}
+		for k, p := range pts {
+			if p.Watts != 60 || (k > 0 && p.Time <= pts[k-1].Time) {
+				t.Fatalf("point %d of %d = %+v after %+v", k, len(pts), p, pts[max(k-1, 0)])
+			}
+		}
+		first, last := pts[0].Time, pts[len(pts)-1].Time
+		got := d.EnergyWindow(first, last)
+		if want := 60 * (last - first).Seconds(); math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("EnergyWindow(%v, %v) = %v J, want %v J", first, last, got, want)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/history"
 	"repro/internal/source"
 )
 
@@ -93,6 +94,30 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("fold histogram did not advance during the guard (%d -> %d): "+
 			"the zero-alloc result proves nothing about instrumented ingest",
 			before, after)
+	}
+}
+
+// TestIngestAllocatesOnlySealedHistoryBlocks extends the zero-alloc
+// ingest contract across history block seals: with history written at
+// every step, the only steady-state allocation is the exact-size copy
+// of each block the tier seals and keeps. One run steps exactly one
+// block's worth of 1 ms points, so it seals one block; the block
+// slice's amortised growth rounds away in the per-run average.
+func TestIngestAllocatesOnlySealedHistoryBlocks(t *testing.T) {
+	m, d := stubDevice(t)
+	m.StepAll(1500 * time.Millisecond) // one sealed block, warm head buffer
+	blockSpan := time.Duration(history.DefaultBlockPoints) * time.Millisecond
+	before := d.HistoryStats().Blocks
+	const runs = 4
+	allocs := testing.AllocsPerRun(runs, func() {
+		m.StepAll(blockSpan)
+	})
+	sealed := d.HistoryStats().Blocks - before
+	if sealed != runs+1 { // AllocsPerRun's warm-up call seals one too
+		t.Fatalf("%d runs of one block span sealed %d blocks, want %d", runs, sealed, runs+1)
+	}
+	if allocs != 1 {
+		t.Errorf("ingest allocates %v per sealed history block, want 1 (its bits)", allocs)
 	}
 }
 

@@ -62,8 +62,8 @@ type Config struct {
 	// floor, while coarse slow meters get a 3-reading minimum instead.
 	FlatlineWindow time.Duration
 	// HistoryBytes bounds each station's compressed long-horizon history
-	// series (internal/history), drained from the ring on sync passes
-	// and queried by EnergyWindow. Zero means the history default
+	// series (internal/history), appended to at every ingest flush and
+	// queried by EnergyWindow. Zero means the history default
 	// (1 MiB per station); negative disables the tier, leaving queries
 	// to the ring's held points only.
 	HistoryBytes int
@@ -160,13 +160,11 @@ type Manager struct {
 	foldHist *obs.ShardedHist
 	paceHist obs.Hist
 	stepHist obs.Hist
-	// histAppendHist and histQueryHist time the history tier's two
-	// operations fleet-wide: one ring→series sync pass, and one windowed
-	// energy query. Both run off the ingest path, so unsharded
-	// histograms suffice.
-	histAppendHist obs.Hist
-	histQueryHist  obs.Hist
-	events         *obs.EventRing
+	// histQueryHist times one windowed energy query fleet-wide. Queries
+	// run off the ingest path, so an unsharded histogram suffices; the
+	// history append is timed inside the fold histogram.
+	histQueryHist obs.Hist
+	events        *obs.EventRing
 
 	mu      sync.Mutex
 	byName  map[string]*Device
@@ -247,7 +245,7 @@ func (m *Manager) Add(name, kind string, src source.Source) (*Device, error) {
 	s := shardOf(name, len(m.shards))
 	sh := &m.shards[s]
 	d := newDevice(name, kind, src, m.cfg, m.foldHist.Stripe(s), &sh.pool, m.events)
-	d.histAppend, d.histQuery = &m.histAppendHist, &m.histQueryHist
+	d.histQuery = &m.histQueryHist
 	old := sh.list()
 	at := sort.Search(len(old), func(i int) bool { return old[i].name > name })
 	next := make([]*Device, 0, len(old)+1)
@@ -395,12 +393,8 @@ func (m *Manager) IngestFoldHist() *obs.ShardedHist { return m.foldHist }
 // whole-slice overruns when it does not. Unpaced fleets record nothing.
 func (m *Manager) PaceLatenessHist() *obs.Hist { return &m.paceHist }
 
-// HistoryAppendHist returns the latency distribution of history sync
-// passes (one ring→series drain, however many points it moved).
-func (m *Manager) HistoryAppendHist() *obs.Hist { return &m.histAppendHist }
-
 // HistoryQueryHist returns the latency distribution of windowed energy
-// queries (Device.EnergyWindow, including its preceding sync).
+// queries (Device.EnergyWindow).
 func (m *Manager) HistoryQueryHist() *obs.Hist { return &m.histQueryHist }
 
 // ShardStepHist returns the distribution of per-shard StepAll quantum

@@ -178,45 +178,6 @@ func (r *Ring) Total() uint64 {
 	return r.total
 }
 
-// DrainInto copies the Time and Total columns of the points with push
-// ordinals >= from into times and totals, oldest first, up to len(times)
-// points. Ordinals are absolute push counts (Total-based), so a cursor
-// held by the history tier survives any number of wraparounds: points
-// the ring already overwrote are reported in missed rather than
-// silently skipped. It returns the number of points copied, the count
-// missed to wraparound, and the cursor to resume from. DrainInto copies
-// scalars into caller-owned storage and never allocates — it is the
-// pull side of the long-horizon history tier, called from sync paths,
-// never from ingest.
-func (r *Ring) DrainInto(from uint64, times []time.Duration, totals []float64) (n int, missed uint64, next uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	oldest := r.total - uint64(r.n)
-	if from < oldest {
-		missed = oldest - from
-		from = oldest
-	}
-	if from >= r.total {
-		return 0, missed, from
-	}
-	avail := int(r.total - from)
-	if avail > len(times) {
-		avail = len(times)
-	}
-	// Index of the oldest held point in buf.
-	start := 0
-	if r.n == len(r.buf) {
-		start = r.next
-	}
-	// Skip points the cursor has already consumed.
-	start = (start + int(from-oldest)) % len(r.buf)
-	for i := 0; i < avail; i++ {
-		src := &r.buf[(start+i)%len(r.buf)]
-		times[i], totals[i] = src.Time, src.Total
-	}
-	return avail, missed, from + uint64(avail)
-}
-
 // Snapshot returns up to max of the most recent points, oldest first. A
 // non-positive max returns everything held. The returned points are deep
 // copies — their Watts rows are freshly backed, never views into the

@@ -39,6 +39,29 @@ func BenchmarkHistoryAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkHistoryAppendN measures the fleet's write path: AppendN in
+// batches of five points — the points one default 5 ms ingest step
+// finishes — over precomputed signal values, so only the tier is timed.
+// ns/op is per point.
+func BenchmarkHistoryAppendN(b *testing.B) {
+	const batch, n = 5, 5 << 12
+	r := rng.New(1)
+	ws := make([]float64, n)
+	for i := range ws {
+		ws[i] = fleetLikeWatts(r, i)
+	}
+	var ts [batch]time.Duration
+	s := New(Config{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += batch {
+		for k := range ts {
+			ts[k] = time.Duration(i+k) * time.Millisecond
+		}
+		s.AppendN(ts[:], ws[i%n:i%n+batch])
+	}
+}
+
 // BenchmarkEnergyWindow measures a windowed energy query over a series
 // holding 100k points (~100 s of 1 ms ring output), with window edges
 // cutting into sealed blocks on both sides — the worst case that still

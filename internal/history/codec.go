@@ -6,42 +6,52 @@
 package history
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"time"
 )
 
-// bitWriter appends MSB-first bit strings into a growable byte buffer.
+// bitWriter appends MSB-first bit strings: whole 64-bit words go to a
+// growable byte buffer, big-endian, and the partial word waits in acc.
 // The buffer is reused across blocks (reset keeps capacity), so
 // steady-state appends write into already-grown storage and allocate
 // nothing.
 type bitWriter struct {
 	buf  []byte
-	free uint // unused low bits of the last byte; 0 when byte-aligned
+	acc  uint64 // pending bits, left-aligned
+	nacc uint   // pending bit count, always < 64
 }
 
 func (w *bitWriter) reset() {
-	w.buf = w.buf[:0]
-	w.free = 0
+	w.buf, w.acc, w.nacc = w.buf[:0], 0, 0
 }
 
-// writeBits appends the low n bits of v, most significant first.
-func (w *bitWriter) writeBits(v uint64, n uint) {
-	v <<= 64 - n // left-align the payload
-	for n > 0 {
-		if w.free == 0 {
-			w.buf = append(w.buf, 0)
-			w.free = 8
-		}
-		take := w.free
-		if take > n {
-			take = n
-		}
-		w.buf[len(w.buf)-1] |= byte(v >> (64 - take) << (w.free - take))
-		v <<= take
-		n -= take
-		w.free -= take
+// len returns the encoded length in bytes, a partial last byte included.
+func (w *bitWriter) len() int { return len(w.buf) + int(w.nacc+7)/8 }
+
+// appendTo appends the encoded bytes to dst, the last one zero-padded.
+func (w *bitWriter) appendTo(dst []byte) []byte {
+	dst = append(dst, w.buf...)
+	for k := uint(0); k < w.nacc; k += 8 {
+		dst = append(dst, byte(w.acc>>(56-k)))
 	}
+	return dst
+}
+
+// writeBits appends the low n bits of v, most significant first; n is
+// 1..64 and v carries no bits above them.
+func (w *bitWriter) writeBits(v uint64, n uint) {
+	free := 64 - w.nacc
+	if n < free {
+		w.acc |= v << (free - n)
+		w.nacc += n
+		return
+	}
+	// Fill the word, flush it, and carry the rest (a shift by 64 is 0).
+	rest := n - free
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc|v>>rest)
+	w.acc, w.nacc = v<<(64-rest), rest
 }
 
 func (w *bitWriter) writeBit(b uint64) { w.writeBits(b, 1) }
@@ -77,7 +87,7 @@ func (r *bitReader) readBit() uint64 { return r.readBits(1) }
 // variable-width buckets. A fixed-cadence stream (the downsample ring's
 // steady state) emits dod == 0, one bit per point; clock jitter and
 // resyncs pay wider buckets, up to a raw 64-bit escape for arbitrary
-// gaps (a station parked for hours, a ring wraparound the sync missed).
+// gaps (a station parked for hours, a source that restarts).
 func (w *bitWriter) writeDoD(dod int64) {
 	switch {
 	case dod == 0:
@@ -147,7 +157,8 @@ func (h *headState) writeValue(vb uint64) {
 
 // blockIter decodes one block's points in order, the active head block
 // included (its bit buffer reads the same way; the point count bounds
-// the iteration). Must be used under the owning Series' mutex.
+// the iteration). The bits must not change while it runs: a sealed
+// block's never do, and queries iterate the head over a copy.
 type blockIter struct {
 	r           bitReader
 	count       int
@@ -158,12 +169,12 @@ type blockIter struct {
 	lead, trail uint
 }
 
-func (bv *blockView) iter() blockIter {
+func (b *block) iter() blockIter {
 	return blockIter{
-		r:     bitReader{buf: bv.bits},
-		count: bv.count,
-		t:     bv.t0,
-		vBits: bv.v0Bits,
+		r:     bitReader{buf: b.bits},
+		count: b.count,
+		t:     b.t0,
+		vBits: b.v0Bits,
 	}
 }
 

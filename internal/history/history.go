@@ -18,10 +18,14 @@
 // query decodes only the two blocks its edges cut; fully covered blocks
 // contribute a precomputed sum without touching their bits.
 //
-// The tier is deliberately pull-based: nothing here runs on a fleet's
-// ingest hot path. The fleet drains ring points into Append from a sync
-// path (queries, a daemon timer), and Append itself allocates only when
-// a block seals — steady-state appends write bits into recycled buffers.
+// The fleet writes history at the ingest step: each step's finished
+// ring points arrive in one AppendN call, which takes the series lock
+// once and publishes the accounting counters once per batch. Appends
+// allocate only when a block seals — steady-state appends write bits
+// into a recycled buffer. Queries hold the lock only to copy what they
+// read (sealed blocks are immutable; the head block's bits are copied
+// into scratch) and decode after releasing it, so a long export never
+// stalls the station's ingest step.
 //
 // Query semantics: EnergyWindow integrates the stored series over
 // [from, to] with trapezoidal interpolation and partial-interval
@@ -123,10 +127,11 @@ func (st Stats) Ratio() float64 {
 	return float64(st.RawBytes()) / float64(st.Bytes)
 }
 
-// block is one sealed, immutable run of consecutive points. Alongside
-// the encoded bits it keeps its endpoints and its internal trapezoidal
-// energy sum, so window queries decode a block only when a window edge
-// falls inside it.
+// block is one run of consecutive points: a sealed, immutable block,
+// or a copy of the active head block's summary taken under the lock.
+// Alongside the encoded bits it keeps its endpoints and its internal
+// trapezoidal energy sum, so window queries decode a block only when a
+// window edge falls inside it.
 type block struct {
 	count     int
 	t0, tLast time.Duration
@@ -153,42 +158,30 @@ type headState struct {
 	w           bitWriter
 }
 
-// blockView is the uniform read-side view of a block, sealed or head.
-type blockView struct {
-	count     int
-	t0, tLast time.Duration
-	v0Bits    uint64
-	v0, vLast float64
-	sumJ      float64
-	bits      []byte
-}
-
-func (b *block) view() blockView {
-	return blockView{count: b.count, t0: b.t0, tLast: b.tLast,
-		v0Bits: b.v0Bits, v0: b.v0, vLast: b.vLast, sumJ: b.sumJ, bits: b.bits}
-}
-
-func (h *headState) view() blockView {
-	return blockView{count: h.count, t0: h.t0, tLast: h.tLast,
-		v0Bits: h.v0Bits, v0: h.v0, vLast: h.vLast, sumJ: h.sumJ, bits: h.w.buf}
+// view returns the head's summary without its bits: those are rewritten
+// by later appends and partly held in the writer's accumulator, so
+// whoever decodes them takes a copy (bitWriter.appendTo).
+func (h *headState) view() block {
+	return block{count: h.count, t0: h.t0, tLast: h.tLast,
+		v0Bits: h.v0Bits, v0: h.v0, vLast: h.vLast, sumJ: h.sumJ}
 }
 
 // Series is one station's compressed long-horizon history: sealed
 // blocks oldest-first plus the active head block. One appender and any
-// number of queriers may use it concurrently; appends and queries
-// serialise on an internal mutex (both are off every hot path), while
-// Stats reads atomic counters lock-free.
+// number of queriers may use it concurrently. Appends serialise on an
+// internal mutex; queries hold it only to copy block summaries and the
+// head's bits, and decode outside it. Stats reads atomic counters
+// lock-free.
 type Series struct {
 	mu       sync.Mutex
 	maxBytes int     // 0 = unbounded
 	quantum  float64 // 0 = lossless
 	blockPts int
 
-	blocks      []*block
+	blocks      []block // sealed, oldest first; their bits are never written
 	head        headState
 	sealedBytes int // bits + overhead of the sealed blocks
 
-	points   atomic.Uint64
 	appended atomic.Uint64
 	dropped  atomic.Uint64
 	evicted  atomic.Uint64
@@ -214,90 +207,115 @@ func New(cfg Config) *Series {
 	if s.blockPts <= 0 {
 		s.blockPts = DefaultBlockPoints
 	}
+	// Every point after a block's first costs at least two bits (a zero
+	// delta-of-delta and an unchanged value), so no block encodes in
+	// fewer than blockPts/4 bytes. Reserving that floor up front keeps
+	// the first block's appends — which run inside the fleet's ingest
+	// step — from growing the buffer on the most compressible signals.
+	s.head.w.buf = make([]byte, 0, s.blockPts/4)
 	return s
 }
 
-// Append records one point. Timestamps must be strictly increasing:
-// a repeated or rewound timestamp is counted in Stats.Dropped and
-// discarded, never stored — the zero-interval guard at the storage
-// layer, so no rate or trapezoid derived from two adjacent history
-// points can ever divide by zero. Steady-state appends allocate
-// nothing; a block seal (every BlockPoints appends) allocates the
-// sealed copy.
+// Append records one point: AppendN with a batch of one.
 func (s *Series) Append(t time.Duration, w float64) {
+	s.AppendN([]time.Duration{t}, []float64{w})
+}
+
+// AppendN records a batch of points, oldest first; len(ws) must equal
+// len(ts). Timestamps must be strictly increasing: a repeated or
+// rewound timestamp is counted in Stats.Dropped and discarded, never
+// stored — the zero-interval guard at the storage layer, so no rate or
+// trapezoid derived from two adjacent history points can ever divide
+// by zero. The batch takes the lock once and publishes the accounting
+// counters once. Steady-state appends allocate nothing; a block seal
+// (every BlockPoints stored points) allocates the sealed copy.
+func (s *Series) AppendN(ts []time.Duration, ws []float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.quantum > 0 {
-		w = math.Round(w/s.quantum) * s.quantum
-	}
+	var kept, evicted uint64
+	sealed := false
 	h := &s.head
-	if h.count == 0 {
-		if n := len(s.blocks); n > 0 && t <= s.blocks[n-1].tLast {
-			s.dropped.Add(1)
-			return
+	for i, t := range ts {
+		w := ws[i]
+		if s.quantum > 0 {
+			w = math.Round(w/s.quantum) * s.quantum
 		}
-		vb := math.Float64bits(w)
-		h.t0, h.tLast, h.v0, h.vLast = t, t, w, w
-		h.v0Bits, h.prevVBits = vb, vb
-		h.count, h.prevDelta, h.sumJ, h.haveWin = 1, 0, 0, false
-	} else {
-		if t <= h.tLast {
-			s.dropped.Add(1)
-			return
+		if h.count == 0 {
+			if n := len(s.blocks); n > 0 && t <= s.blocks[n-1].tLast {
+				continue
+			}
+			vb := math.Float64bits(w)
+			h.t0, h.tLast, h.v0, h.vLast = t, t, w, w
+			h.v0Bits, h.prevVBits = vb, vb
+			h.count, h.prevDelta, h.sumJ, h.haveWin = 1, 0, 0, false
+		} else {
+			if t <= h.tLast {
+				continue
+			}
+			delta := int64(t - h.tLast)
+			h.w.writeDoD(delta - h.prevDelta)
+			h.prevDelta = delta
+			h.writeValue(math.Float64bits(w))
+			h.sumJ += (w + h.vLast) / 2 * time.Duration(delta).Seconds()
+			h.tLast, h.vLast = t, w
+			h.count++
 		}
-		delta := int64(t - h.tLast)
-		h.w.writeDoD(delta - h.prevDelta)
-		h.prevDelta = delta
-		h.writeValue(math.Float64bits(w))
-		h.sumJ += (w + h.vLast) / 2 * time.Duration(delta).Seconds()
-		h.tLast, h.vLast = t, w
-		h.count++
+		kept++
+		if h.count == s.blockPts {
+			evicted += s.sealLocked()
+			sealed = true
+		}
 	}
-	s.points.Add(1)
-	s.appended.Add(1)
-	if h.count == s.blockPts {
-		s.sealLocked()
+	if dropped := uint64(len(ts)) - kept; dropped > 0 {
+		s.dropped.Add(dropped)
 	}
-	s.bytes.Store(uint64(s.sealedBytes + len(h.w.buf) + blockOverhead))
+	if kept == 0 {
+		return
+	}
+	// Appends publish before evictions, so Stats, loading them in the
+	// opposite order, never sees more evicted than appended points.
+	s.appended.Add(kept)
+	if sealed {
+		s.evicted.Add(evicted)
+		s.blocksN.Store(uint64(len(s.blocks)))
+	}
+	s.bytes.Store(uint64(s.sealedBytes + h.w.len() + blockOverhead))
 }
 
 // sealLocked closes the head block into an immutable sealed block and
-// evicts oldest blocks while the series exceeds its byte budget. Called
-// with s.mu held.
-func (s *Series) sealLocked() {
+// evicts oldest blocks while the series exceeds its byte budget,
+// returning the number of points evicted. Called with s.mu held.
+func (s *Series) sealLocked() (evicted uint64) {
 	h := &s.head
-	if h.count == 0 {
-		return
-	}
-	blk := &block{count: h.count, t0: h.t0, tLast: h.tLast,
-		v0Bits: h.v0Bits, v0: h.v0, vLast: h.vLast, sumJ: h.sumJ,
-		bits: append([]byte(nil), h.w.buf...)}
+	blk := h.view()
+	blk.bits = h.w.appendTo(make([]byte, 0, h.w.len()))
 	s.blocks = append(s.blocks, blk)
 	s.sealedBytes += len(blk.bits) + blockOverhead
 	h.count = 0
 	h.w.reset()
 	if s.maxBytes > 0 {
 		for len(s.blocks) > 1 && s.sealedBytes+blockOverhead > s.maxBytes {
-			old := s.blocks[0]
+			old := &s.blocks[0]
 			s.sealedBytes -= len(old.bits) + blockOverhead
+			evicted += uint64(old.count)
 			copy(s.blocks, s.blocks[1:])
-			s.blocks[len(s.blocks)-1] = nil
+			s.blocks[len(s.blocks)-1] = block{}
 			s.blocks = s.blocks[:len(s.blocks)-1]
-			s.evicted.Add(uint64(old.count))
-			s.points.Add(^uint64(old.count - 1)) // -= count
 		}
 	}
-	s.blocksN.Store(uint64(len(s.blocks)))
+	return evicted
 }
 
 // Stats returns the series' accounting snapshot from atomic counters —
 // no lock, so scrape paths may call it per station per scrape.
 func (s *Series) Stats() Stats {
+	evicted := s.evicted.Load()
+	appended := s.appended.Load()
 	return Stats{
-		Points:        s.points.Load(),
-		Appended:      s.appended.Load(),
+		Points:        appended - evicted,
+		Appended:      appended,
 		Dropped:       s.dropped.Load(),
-		EvictedPoints: s.evicted.Load(),
+		EvictedPoints: evicted,
 		Blocks:        s.blocksN.Load(),
 		Bytes:         s.bytes.Load(),
 	}

@@ -250,8 +250,8 @@ func TestSteadyStateAppendZeroAlloc(t *testing.T) {
 	}
 	// 513 appends (runs + AllocsPerRun's warmup call) stay inside the
 	// fresh 4096-point head block: no seal, no buffer growth, and so not
-	// one allocation — history appends ride the fleet's sync path, which
-	// inherits ingest's zero-alloc discipline.
+	// one allocation — history appends ride the fleet's ingest step,
+	// which keeps ingest's zero-alloc discipline.
 	if allocs := testing.AllocsPerRun(512, next); allocs != 0 {
 		t.Fatalf("steady-state append allocates %v/op, want 0", allocs)
 	}
