@@ -1,5 +1,5 @@
 // Command psd is the PowerSensor3 fleet daemon: it assembles a fleet of
-// simulated measurement stations, drives each on its own goroutine, and
+// simulated measurement stations, steps them all on one paced loop, and
 // serves the fleet's telemetry over HTTP — the service counterpart of the
 // one-shot command line tools.
 //
@@ -53,8 +53,8 @@
 //	-seed        base simulation seed; each station derives its own
 //	-rate        virtual seconds simulated per wall second (1 = real time,
 //	             0 = as fast as the host allows)
-//	-slice       virtual-time quantum each station goroutine advances per
-//	             iteration
+//	-slice       virtual-time quantum the fleet's pacer advances every
+//	             station by per iteration
 //	-block       downsample window per ring point, in 20 kHz sample periods
 //	             (20 → 1 ms points); each station derives its own block size
 //	             from that window and its source's native rate
@@ -63,9 +63,12 @@
 //	             by name; each shard keeps its own device list, memory pool
 //	             and cached /metrics exposition segment, so churn and
 //	             downsample-block activity on one station invalidate 1/Nth
-//	             of the scrape instead of all of it. -shards 1 recovers the
-//	             unsharded daemon; large fleets (thousands of stations) want
-//	             the default or higher
+//	             of the scrape instead of all of it. The shard count is also
+//	             the stepping parallelism: a fleet of 64 or more stations is
+//	             stepped by one persistent worker per shard, smaller fleets
+//	             serially. -shards 1 recovers the unsharded, serially stepped
+//	             daemon; large fleets (thousands of stations) want the
+//	             default or higher
 //	-history     per-station compressed history budget, in bytes (default
 //	             1 MiB — weeks of millisecond-averaged points at the tier's
 //	             typical >4x compression). The long-horizon tier sits behind
@@ -133,7 +136,7 @@
 //	                                  name= and kind= (any -fleet kindspec,
 //	                                  pipe stages included) as form or query
 //	                                  parameters
-//	POST /api/fleet/remove/{name}     retire a station: its driver stops, the
+//	POST /api/fleet/remove/{name}     retire a station: stepping stops, the
 //	                                  final downsample block drains, and its
 //	                                  series leave /metrics
 //
@@ -228,7 +231,7 @@ func main() {
 	slice := flag.Duration("slice", 5*time.Millisecond, "virtual-time quantum per iteration")
 	block := flag.Int("block", 20, "sample sets averaged per ring point")
 	ring := flag.Int("ring", 4096, "per-station ring capacity in points")
-	shards := flag.Int("shards", 8, "fleet shard count, 1-64 (1 = unsharded)")
+	shards := flag.Int("shards", 8, "fleet shard count and stepping parallelism, 1-64 (1 = unsharded, serial)")
 	histBytes := flag.Int("history", 0,
 		"per-station compressed history budget in bytes (0 = 1 MiB default, negative = disabled)")
 	warmup := flag.Duration("warmup", 2*time.Second, "virtual time simulated before serving")

@@ -252,8 +252,8 @@ func TestSetupBadSpec(t *testing.T) {
 // daemon: a station hot-added over HTTP starts serving scrape series, a
 // retired one disappears, and the churn counters follow along.
 func TestAdminAddRemove(t *testing.T) {
-	// Paced at real time so driver goroutines sleep between slices and
-	// the HTTP round-trips get CPU on small hosts.
+	// Paced at real time so the pacer sleeps between quanta and the
+	// HTTP round-trips get CPU on small hosts.
 	mgr, handler, err := setup("gpu0=synth", 1, 1, 5*time.Millisecond,
 		20, 4096, 8, 0, 100*time.Millisecond, nil)
 	if err != nil {

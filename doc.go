@@ -25,7 +25,7 @@
 //	        (Meta + ReadInto(d, *Batch))  named stations per kind
 //	                     │
 //	               fleet.Manager        ← block size & ring pacing
-//	          (per-station goroutines,    derived from Meta.RateHz
+//	          (paced shard workers,       derived from Meta.RateHz
 //	           downsampling rings)
 //	                     │
 //	              export.Exporter       ← backend kind + rate as
@@ -74,17 +74,29 @@
 //
 // Beyond the single-rig tools, the repository runs whole fleets:
 // internal/fleet drives many named stations (PCIe GPUs, SoC boards, SSDs,
-// software meters — assembled by internal/simsetup) concurrently, each on
-// its own goroutine, downsampling every source's stream into per-station
-// ring buffers with health counters; internal/export serves a fleet over
-// HTTP.
+// software meters — assembled by internal/simsetup), downsampling every
+// source's stream into per-station ring buffers with health counters;
+// internal/export serves a fleet over HTTP.
+//
+// One loop drives the fleet. Manager.Start launches a single pacer that
+// advances every station by one virtual-time slice per quantum, paced
+// against the wall clock, and Manager.StepAll — what tests, tools and
+// perfbench call — steps the same quanta unpaced. Both go through one
+// function, which steps small fleets serially and fans larger ones out
+// to a persistent worker per shard; no station has a goroutine of its
+// own. The trade-off is that a source whose ReadInto blocks stalls its
+// whole shard, and with it the quantum, not only itself. No bundled
+// source blocks: source.Sensor, source.Polled, the synthetic stations in
+// internal/simsetup and every internal/pipeline stage compute each batch
+// on virtual time.
 //
 // Fleets are dynamic while serving. A station can be adopted against a
-// running manager (its driver goroutine spawns immediately) and retired
+// running manager (the pacer steps it from the next quantum) and retired
 // at any time: the copy-on-write device-list swap is the commit point for
-// concurrent snapshots and scrapes, after which the driver stops, the
-// in-flight downsample block drains into the ring as one final point,
-// subscriptions receive that point and close, and the source is released.
+// concurrent snapshots and scrapes, after which the station is no longer
+// stepped, the in-flight downsample block drains into the ring as one
+// final point, subscriptions receive that point and close, and the
+// source is released.
 // Each station moves through an explicit lifecycle:
 //
 //	          Manager.Start / hot Add
@@ -95,7 +107,7 @@
 //	                                        │ Manager.Remove
 //	                                        ▼
 //	                                    stopping ──drain──► closed
-//	                                (driver exits,     (subscriptions
+//	                                (no more steps,    (subscriptions
 //	                                 final block        closed, source
 //	                                 drains to ring)    released)
 //
@@ -115,8 +127,8 @@
 // boundaries, so Status, Manager.Snapshot and a /metrics scrape of a
 // 256-station fleet never take a device ingest mutex — measurement cost
 // stays off the measured system's critical path, the same property the
-// paper claims for the sensor itself. BENCH_fleet.json tracks the
-// ingest and scrape numbers across PRs.
+// paper claims for the sensor itself. perfbench (declared by
+// BENCHMARK.json) measures the ingest and scrape numbers.
 //
 // # Fleet sharding
 //
@@ -133,8 +145,9 @@
 //	   │                                 name returns to its shard
 //	   ├─ device list   per-shard copy-on-write sorted slice; churn
 //	   │                and snapshots contend only within the shard
-//	   ├─ step worker   StepAll fans each shard to a persistent
-//	   │                goroutine; zero allocations per step
+//	   ├─ step worker   each quantum of Start's pacer or StepAll fans
+//	   │                out to one persistent goroutine per shard;
+//	   │                zero allocations per step
 //	   ├─ memory pool   ring arenas and batch columns recycle through
 //	   │                shard-local free lists, so stations adopted
 //	   │                together stay adjacent in memory
@@ -151,8 +164,6 @@
 // the shard's export.Renderer — the same segment renderer a federation
 // head keeps per leaf; Manager.Gen folds the per-shard generations so
 // whole-body caching still works when nothing moved.
-// BENCH_fleet.json's sharding section tracks the 256..10240-station
-// rows.
 //
 // # Self-observability
 //
@@ -163,11 +174,11 @@
 // the ingest hot path) and a fixed-capacity structured event ring that
 // overwrites oldest-first while counting every drop. The fleet records
 // ingest-fold latency (sampled one step in thirty-two to keep the instrument
-// inside the ingest path's own overhead budget), driver pacing lateness
-// on paced fleets, and adopt/start/retire/close lifecycle events with
-// station name, kind and reason; the pipeline records per-stage ReadInto
-// latency; the exporter times its own scrapes by serve path (full render
-// versus cached fleet section).
+// inside the ingest path's own overhead budget), the pacer's lateness per
+// fleet quantum on paced fleets, and adopt/start/retire/close lifecycle
+// events with station name, kind and reason; the pipeline records
+// per-stage ReadInto latency; the exporter times its own scrapes by
+// serve path (full render versus cached fleet section).
 //
 // All of it exports as the powersensor_self_* families — ingest_fold /
 // pacing_late / stage_read / scrape_seconds histograms,
@@ -177,8 +188,7 @@
 // the daemon's view of itself never goes stale behind its own body
 // cache. The event log is also served raw at /api/events. Instrumented
 // ingest stays zero-allocation and within a few percent of the
-// uninstrumented path (both regression-tested; BENCH_fleet.json records
-// the instrumented-versus-uninstrumented rows).
+// uninstrumented path (both regression-tested).
 //
 // # Long-horizon history
 //
@@ -269,9 +279,9 @@
 // one overflowed station no longer blanks its whole leaf. A head
 // scrape over quiet leaves is segment memcpys plus a
 // self-telemetry tail: measured ~350-400 ns/station at 9 allocs/op vs
-// ~800 ns/station for the render the cache skips (BENCH_fleet.json,
-// federation section). Per-leaf observability exports as
-// powersensor_leaf_* families — up, stations, generation, breaker
+// ~800 ns/station for the render the cache skips; perfbench's federated
+// workload measures this path end to end. Per-leaf observability exports
+// as powersensor_leaf_* families — up, stations, generation, breaker
 // state, consecutive failures, breaker opens, polls, failures,
 // renders, and a poll-latency histogram — with leaf up/down and
 // breaker transitions logged to the head's /api/events ring. See

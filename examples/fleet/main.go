@@ -106,8 +106,7 @@ func main() {
 	fmt.Printf("  episodes: %d flatlines, %d spikes quarantined (health now %q)\n",
 		st.Flatlines, st.SpikesQuarantined, st.Health)
 
-	// Hand the stations to their driver goroutines — from here on the
-	// fleet serves live.
+	// Start the fleet's pacer — from here on the fleet serves live.
 	mgr.Start()
 	defer mgr.Stop()
 	srv := httptest.NewServer(export.New(mgr).Handler())
@@ -128,8 +127,8 @@ func main() {
 		}
 	}
 
-	// Hot-add a station against the running manager: its driver goroutine
-	// spawns immediately, and the next scrape carries its series. This is
+	// Hot-add a station against the running manager: the pacer steps it
+	// from the next quantum, and the next scrape carries its series. This is
 	// what POST /api/fleet/add?name=gpu1&kind=synth does on a psd daemon.
 	hot, err := simsetup.NewStation("synth", 7)
 	if err != nil {
@@ -138,13 +137,13 @@ func main() {
 	if _, err := mgr.Add("gpu1", "synth", hot); err != nil {
 		log.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // let the new driver ingest
+	time.Sleep(100 * time.Millisecond) // let the new station ingest
 	fmt.Println("\nafter hot add (fleet keeps serving):")
 	for _, line := range scrape(srv, "powersensor_fleet_", "powersensor_board_watts") {
 		fmt.Println(" ", line)
 	}
 
-	// Retire it again: the driver stops, the in-flight downsample block
+	// Retire it again: stepping stops, the in-flight downsample block
 	// drains into the ring as a final point, subscriptions close, and the
 	// station's series leave the exposition — the survivors never pause.
 	if err := mgr.Remove("gpu1"); err != nil {

@@ -38,8 +38,8 @@
 // the scrape-duration gauge) renders fresh on every scrape, cache hit or
 // not: it is the system observing itself, and serving week-old
 // self-timings from an idle fleet's cached body would defeat the point.
-// The tail renders the obs-layer histograms (ingest fold latency, driver
-// pacing lateness, pipeline stage reads, scrape timing by path), the
+// The tail renders the obs-layer histograms (ingest fold latency, pacer
+// lateness, pipeline stage reads, scrape timing by path), the
 // cache's own hit/miss counters, the lifecycle event-ring counters and
 // fleet-wide ring occupancy — all from lock-free atomic reads, so a
 // cache-hit scrape still never touches a station's ingest.
@@ -73,6 +73,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -267,7 +268,7 @@ var (
 	hdrSelfIngestFold = header(famIngestFold,
 		"Latency of folding one ingest step's batch into the downsample state, history append included, fleet-wide, sampled 1-in-32 steps.", "histogram")
 	hdrSelfPacing = header(famPacing,
-		"How far past its absolute schedule each paced driver slice completed; empty on unpaced fleets.", "histogram")
+		"How far past its absolute schedule each paced fleet quantum completed; empty on unpaced fleets.", "histogram")
 	hdrSelfStageRead = header(famStageRead,
 		"ReadInto latency per derived-source pipeline stage kind, inner source included; stage kinds never run are omitted.", "histogram")
 	hdrSelfScrape = header(famScrape,
@@ -281,7 +282,7 @@ var (
 	hdrSelfShardRender = header(famShardRender,
 		"Time to re-render one stale shard's exposition segment.", "histogram")
 	hdrSelfShardStep = header(famShardStep,
-		"Wall time one fleet shard spent stepping its stations within one StepAll quantum.", "histogram")
+		"Wall time one fleet shard spent stepping its stations through one fleet quantum, paced or StepAll.", "histogram")
 	hdrSelfEvents = header("powersensor_self_events_total",
 		"Fleet lifecycle events ever recorded (adopt, start, retire, close).", "counter")
 	hdrSelfEventsDropped = header("powersensor_self_events_dropped_total",
@@ -740,14 +741,20 @@ func (e *Exporter) deviceTrace(w http.ResponseWriter, r *http.Request) {
 // parseWindowTime parses a ?from= / ?to= query value: a plain number is
 // seconds of virtual time, anything else must parse as a Go duration
 // ("1.5s", "250ms"). Negative instants are rejected — virtual time
-// starts at zero.
+// starts at zero — and so are NaN, ±Inf and seconds past the Duration
+// range, whose conversion to a Duration the language leaves undefined.
 func parseWindowTime(s string) (time.Duration, error) {
 	if secs, err := strconv.ParseFloat(s, 64); err == nil {
-		d := time.Duration(secs * float64(time.Second))
-		if d < 0 {
+		ns := secs * float64(time.Second)
+		switch {
+		case math.IsNaN(ns) || math.IsInf(ns, 0):
+			return 0, fmt.Errorf("non-finite instant %q", s)
+		case ns < 0:
 			return 0, fmt.Errorf("negative instant %q", s)
+		case ns >= float64(math.MaxInt64):
+			return 0, fmt.Errorf("instant %q exceeds the maximum %v", s, time.Duration(math.MaxInt64))
 		}
-		return d, nil
+		return time.Duration(ns), nil
 	}
 	d, err := time.ParseDuration(s)
 	if err != nil || d < 0 {

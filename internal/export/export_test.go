@@ -245,7 +245,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"# TYPE powersensor_station_restarts_total counter",
 		"# HELP powersensor_self_ingest_fold_seconds Latency of folding one ingest step's batch into the downsample state, history append included, fleet-wide, sampled 1-in-32 steps.",
 		"# TYPE powersensor_self_ingest_fold_seconds histogram",
-		"# HELP powersensor_self_pacing_late_seconds How far past its absolute schedule each paced driver slice completed; empty on unpaced fleets.",
+		"# HELP powersensor_self_pacing_late_seconds How far past its absolute schedule each paced fleet quantum completed; empty on unpaced fleets.",
 		"# TYPE powersensor_self_pacing_late_seconds histogram",
 		"# HELP powersensor_self_stage_read_seconds ReadInto latency per derived-source pipeline stage kind, inner source included; stage kinds never run are omitted.",
 		"# TYPE powersensor_self_stage_read_seconds histogram",
@@ -259,7 +259,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"# TYPE powersensor_self_shard_renders_total counter",
 		"# HELP powersensor_self_shard_render_seconds Time to re-render one stale shard's exposition segment.",
 		"# TYPE powersensor_self_shard_render_seconds histogram",
-		"# HELP powersensor_self_shard_step_seconds Wall time one fleet shard spent stepping its stations within one StepAll quantum.",
+		"# HELP powersensor_self_shard_step_seconds Wall time one fleet shard spent stepping its stations through one fleet quantum, paced or StepAll.",
 		"# TYPE powersensor_self_shard_step_seconds histogram",
 		"# HELP powersensor_self_events_total Fleet lifecycle events ever recorded (adopt, start, retire, close).",
 		"# TYPE powersensor_self_events_total counter",
@@ -420,7 +420,7 @@ func TestHealthzAllDown(t *testing.T) {
 }
 
 // TestScrapeWhileRunning scrapes a live fleet — endpoints must be safe
-// against the concurrently advancing station goroutines.
+// against the concurrently stepping pacer.
 func TestScrapeWhileRunning(t *testing.T) {
 	srv, mgr := testServer(t)
 	mgr.Start()
@@ -725,9 +725,9 @@ func TestLabelCacheShapeMismatch(t *testing.T) {
 // must be monotonic — the exposition-level contract of the dynamic
 // lifecycle.
 func TestScrapeDuringChurn(t *testing.T) {
-	// Paced at real time: drivers sleep between slices, so churners and
-	// scrapers get CPU even on a single-core host. (Unpaced drivers spin
-	// flat out and starve the HTTP round-trips this test depends on.)
+	// Paced at real time: the pacer sleeps between quanta, so churners
+	// and scrapers get CPU even on a single-core host. (An unpaced pacer
+	// spins flat out and starves the HTTP round-trips this test needs.)
 	mgr, err := fleet.FromSpec("keep0=synth,keep1=synth", 1,
 		fleet.Config{Slice: time.Millisecond, Rate: 1})
 	if err != nil {
@@ -1238,6 +1238,47 @@ func TestDeviceHistoryEndpoint(t *testing.T) {
 	} {
 		if code, _ := get(t, srv.URL+url); code != wantCode {
 			t.Errorf("%s: status %d, want %d", url, code, wantCode)
+		}
+	}
+}
+
+// TestParseWindowTime pins the ?from=/?to= grammar: plain seconds or a
+// Go duration, never negative, and never a float whose conversion to a
+// Duration would be undefined (NaN, ±Inf, past the Duration range) —
+// each refused with a message naming what is wrong with it.
+func TestParseWindowTime(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want time.Duration
+		err  string // substring of the error; empty means success
+	}{
+		{in: "0", want: 0},
+		{in: "-0", want: 0},
+		{in: "0.25", want: 250 * time.Millisecond},
+		{in: "1.5s", want: 1500 * time.Millisecond},
+		{in: "250ms", want: 250 * time.Millisecond},
+		{in: "9223372036.8547", want: 9223372036854700032},
+		{in: "-5", err: "negative instant"},
+		{in: "-1e10", err: "negative instant"},
+		{in: "-1ms", err: "non-negative duration"},
+		{in: "NaN", err: "non-finite instant"},
+		{in: "Inf", err: "non-finite instant"},
+		{in: "+Inf", err: "non-finite instant"},
+		{in: "-infinity", err: "non-finite instant"},
+		{in: "1e10", err: "exceeds the maximum"},
+		{in: "9223372036.854775807", err: "exceeds the maximum"},
+		{in: "1e400", err: "want seconds or a non-negative duration"},
+		{in: "3000000h", err: "want seconds or a non-negative duration"},
+		{in: "bogus", err: "want seconds or a non-negative duration"},
+	} {
+		got, err := parseWindowTime(c.in)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("parseWindowTime(%q): %v", c.in, err)
+		case c.err == "" && got != c.want:
+			t.Errorf("parseWindowTime(%q) = %d, want %d", c.in, got, c.want)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("parseWindowTime(%q) = %v, %v; want an error containing %q", c.in, got, err, c.err)
 		}
 	}
 }

@@ -18,12 +18,11 @@ import (
 type devState int32
 
 const (
-	// devAdopted: owned by a manager, no driver goroutine attached.
+	// devAdopted: owned by a manager that is not running.
 	devAdopted devState = iota
-	// devStarted: a manager driver goroutine is advancing it.
+	// devStarted: the manager's pacer is advancing it.
 	devStarted
-	// devStopping: retirement begun — the driver is gone (or going) and
-	// the in-flight downsample block is draining into the ring.
+	// devStopping: retirement begun; the last partial block is draining.
 	devStopping
 	// devClosed: drained; subscriptions closed, source released.
 	devClosed
@@ -72,7 +71,7 @@ type Status struct {
 	// adopted the station, as integrated by the backend itself.
 	Joules float64 `json:"joules"`
 	// State is the station's lifecycle state: "adopted" (owned, not
-	// driven), "started" (a driver goroutine is advancing it), "stopping"
+	// driven), "started" (the manager's pacer is advancing it), "stopping"
 	// (retirement drain in progress) or "closed" (retired, source
 	// released).
 	State string `json:"state"`
@@ -158,8 +157,8 @@ type pub struct {
 }
 
 // Device is one managed station: a streaming measurement source plus the
-// fleet's ingest state. All source access is serialised by mu; the
-// manager's per-device goroutine holds it while advancing virtual time.
+// fleet's ingest state. All source access is serialised by mu, held by
+// whoever steps the device (pacer, shard worker or StepAll caller).
 // Snapshots never take mu — they read the atomically published telemetry
 // cells instead — so scraping a fleet of hundreds of stations cannot
 // block any station's ingest.
@@ -168,15 +167,6 @@ type Device struct {
 	kind string
 	meta source.Meta // Channels is the device's own immutable copy
 	ring *Ring
-
-	// retire is closed — exactly once, by Manager.Remove, which first
-	// claims the device by deleting it from the name index — to stop this
-	// device's driver goroutine independently of the run-wide stop channel.
-	retire chan struct{}
-	// driveDone is the current run's driver-exit signal: assigned when a
-	// driver goroutine launches, closed when it returns. Read and written
-	// only under the manager's mu; nil until the device is first driven.
-	driveDone chan struct{}
 
 	// pool is the home shard's memory pool, nil when the device was built
 	// without one (direct construction in tests). Pooled devices carve
@@ -268,7 +258,6 @@ func newDevice(name, kind string, src source.Source, cfg Config, foldHist *obs.H
 		name:     name,
 		kind:     kind,
 		meta:     meta,
-		retire:   make(chan struct{}),
 		pool:     pool,
 		src:      src,
 		block:    block,

@@ -2,7 +2,7 @@
 // multi-rig counterpart of internal/core's single-sensor host library.
 //
 // A Manager owns N named stations (assembled by internal/simsetup),
-// advances each in its own goroutine on its virtual-time clock, and
+// steps them together in virtual-time quanta on per-shard workers, and
 // ingests every station's sample stream in columnar batches through the
 // internal/source layer — so heterogeneous backends coexist in one fleet:
 // 20 kHz PowerSensor3 rigs next to 10 Hz NVML counters and 1 kHz RAPL

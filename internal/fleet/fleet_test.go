@@ -112,8 +112,8 @@ func TestManagerMixedBackends(t *testing.T) {
 }
 
 // TestManagerMixedConcurrent is the -race workout for a heterogeneous
-// fleet: PowerSensor and polled-meter stations advance on their own
-// goroutines while snapshots, subscriptions and traces run against them.
+// fleet: PowerSensor and polled-meter stations advance under Start's
+// pacer while snapshots, subscriptions and traces run against them.
 func TestManagerMixedConcurrent(t *testing.T) {
 	m, err := FromSpec("gpu0=rtx4000ada,gpu0sw=nvml,cpu0=rapl", 1,
 		Config{Slice: 2 * time.Millisecond})
@@ -127,6 +127,8 @@ func TestManagerMixedConcurrent(t *testing.T) {
 	m.Start()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	stopReaders := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopReaders()
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func() {
@@ -154,18 +156,25 @@ func TestManagerMixedConcurrent(t *testing.T) {
 			running = false
 		}
 	}
-	close(stop)
-	wg.Wait()
-	m.Stop()
-
-	if received == 0 {
-		t.Fatal("software-meter subscriber received no points while fleet ran")
-	}
-	for _, st := range m.Snapshot() {
-		if st.Samples == 0 {
-			t.Errorf("%s ingested no samples", st.Name)
+	// The pacer steps every station in lockstep, so on a loaded host the
+	// 20 kHz rig can hold virtual time short of the 10 Hz meter's first
+	// poll for the first 300 ms: keep the readers running until every
+	// station has ingested and the subscriber has received, so ingest
+	// overlaps the concurrent snapshots and traces.
+	waitFor(t, 10*time.Second, "every station to ingest and the software-meter subscriber to receive while readers run", func() bool {
+		for len(ch) > 0 {
+			<-ch
+			received++
 		}
-	}
+		for _, st := range m.Snapshot() {
+			if st.Samples == 0 {
+				return false
+			}
+		}
+		return received > 0
+	})
+	stopReaders()
+	m.Stop()
 }
 
 func TestManagerUnknownDevice(t *testing.T) {
@@ -195,7 +204,7 @@ func TestManagerAddErrors(t *testing.T) {
 	}
 }
 
-// TestManagerConcurrent drives the fleet from its goroutines while other
+// TestManagerConcurrent drives the fleet from Start's pacer while other
 // goroutines snapshot, subscribe and export traces — the -race workout for
 // the whole ingest path.
 func TestManagerConcurrent(t *testing.T) {

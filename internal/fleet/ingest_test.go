@@ -236,8 +236,8 @@ func TestSubscriberPointsDetached(t *testing.T) {
 // BenchmarkFleetIngestFold is the per-station ingest hot path in
 // isolation: folding prefilled columnar batches into a device — the
 // per-sample accumulate, block emit, ring push and telemetry publish,
-// with no source behind it. The per-sample cost is the headline number
-// BENCH_fleet.json tracks.
+// with no source behind it. perfbench's fleet.step_self_ns_per_sample
+// row covers the same fold inside whole steps of a served fleet.
 func BenchmarkFleetIngestFold(b *testing.B) {
 	_, d := stubDevice(b)
 	var batch source.Batch

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,11 +17,11 @@ import (
 // Config tunes a Manager. The zero value is usable: 5 ms slices, 1 ms
 // ring points (block-20 at 20 kHz), 4096-point rings, 8 shards, unpaced.
 type Config struct {
-	// Slice is the virtual-time quantum each station goroutine advances
-	// per iteration. Smaller slices reduce snapshot latency; larger ones
-	// amortise locking. StepAll also advances in Slice quanta, so batch
-	// columns pre-sized for one slice stay slab-resident however large a
-	// step a caller requests.
+	// Slice is the virtual-time quantum the fleet advances per step:
+	// Start's pacer steps every station by one Slice per quantum, and
+	// StepAll splits larger steps into Slice quanta, so batch columns
+	// pre-sized for one slice stay slab-resident. Smaller slices reduce
+	// snapshot latency; larger ones amortise locking and pacing.
 	Slice time.Duration
 	// PointPeriod is the target time width of one downsampled ring
 	// point. Each station derives its own block size from it and its
@@ -107,26 +108,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// stepParallelMin is the fleet size below which StepAll stays serial:
+// stepParallelMin is the fleet size below which stepQuantum stays serial:
 // handing a quantum to the shard workers costs a channel round-trip and
 // a WaitGroup rendezvous per shard, which swamps the win when each shard
 // holds only a handful of stations.
 const stepParallelMin = 64
 
-// Manager owns a fleet of named stations and drives each in its own
-// goroutine. The fleet is fully dynamic: Add adopts a station at any time
-// — before Start, or against a running manager, in which case its driver
-// goroutine spawns immediately — and Remove retires one at any time,
-// stopping its driver, draining its final downsample block into the ring
-// and closing its subscriptions. Snapshots, subscriptions and traces are
-// safe at any time from any goroutine, concurrently with churn.
+// Manager owns a fleet of named stations and steps them all through one
+// loop, stepQuantum, driven by Start's pacer or by StepAll. The fleet is
+// fully dynamic: Add adopts a station at any time — before Start, or
+// against a running manager, which steps it from the next quantum — and
+// Remove retires one at any time, draining its final downsample block
+// into the ring and closing its subscriptions. Snapshots, subscriptions
+// and traces are safe at any time from any goroutine, concurrently with churn.
 //
 // The fleet is partitioned into Config.Shards fixed shards by a hash of
 // the station name. Each shard publishes its own copy-on-write device
 // list (sorted by name) through an atomic pointer: Add and Remove (rare)
 // rebuild only their shard's slice, whose atomic swap is the lifecycle
-// commit point, while the hot readers — StepAll, Snapshot, the drive
-// goroutines, the exporter's per-shard renderers — load a list with no
+// commit point, while the hot readers — the step workers, Snapshot,
+// the exporter's per-shard renderers — load a list with no
 // lock and no per-call copy. Fleet-wide sorted iteration (Names,
 // Snapshot) merges the shard lists on the fly. A reader holding an old
 // slice may briefly step or snapshot a retiring device; both are
@@ -153,9 +154,9 @@ type Manager struct {
 	// one step in foldSampleEvery to stay inside the ingest path's
 	// overhead budget; it is striped per shard so concurrently stepping
 	// shard workers do not bounce one bucket array between cores.
-	// paceHist is driver pacing lateness: how far behind its absolute
-	// schedule each paced slice boundary lands. stepHist is the time to
-	// advance one shard's stations by one StepAll quantum. events holds
+	// paceHist is pacer lateness: how far behind its absolute schedule
+	// each paced quantum boundary lands. stepHist is the time to advance
+	// one shard's stations by one quantum. events holds
 	// the structured lifecycle log.
 	foldHist *obs.ShardedHist
 	paceHist obs.Hist
@@ -166,19 +167,18 @@ type Manager struct {
 	histQueryHist obs.Hist
 	events        *obs.EventRing
 
-	mu      sync.Mutex
-	byName  map[string]*Device
-	stop    chan struct{}
-	wg      *sync.WaitGroup // per-run, so Stop only waits for its own drivers
-	started bool
+	mu        sync.Mutex
+	byName    map[string]*Device
+	stop      chan struct{} // non-nil while Started; closing it ends the pacer
+	pacerDone chan struct{} // closed by the pacer on exit
 
-	// Parallel StepAll state: stepMu serialises fan-outs (concurrent
-	// StepAll callers queue rather than interleave on one WaitGroup),
-	// stepWG tracks the in-flight shard quanta of the current fan-out,
-	// and workersOn (guarded by stepMu) says whether the persistent
-	// per-shard step workers are running. Workers start lazily on the
-	// first parallel StepAll — fleets driven by Start never pay for them
-	// — and exit when Close closes their channels.
+	// Parallel stepping state: stepMu serialises fan-outs (the pacer and
+	// concurrent StepAll callers queue rather than interleave on one
+	// WaitGroup), stepWG tracks the in-flight shard quanta of the current
+	// fan-out, and workersOn (guarded by stepMu) says whether the
+	// persistent per-shard step workers are running. Workers start lazily
+	// on the first parallel quantum — fleets under stepParallelMin never
+	// pay for them — and exit when Close closes their channels.
 	stepMu    sync.Mutex
 	stepWG    sync.WaitGroup
 	workersOn bool
@@ -231,8 +231,8 @@ func (m *Manager) ShardOf(name string) int {
 }
 
 // Add adopts a measurement source as a named station, at any time: on a
-// stopped manager the station waits for Start, on a running one its
-// driver goroutine spawns before Add returns — the hot-add path a serving
+// stopped manager the station waits for Start, on a running one the
+// pacer steps it from its next quantum — the hot-add path a serving
 // daemon uses when a rig is cabled up. The atomic swap of the station's
 // home-shard list is the commit point at which concurrent
 // Snapshot/scrape/StepAll callers begin to see the station.
@@ -248,17 +248,15 @@ func (m *Manager) Add(name, kind string, src source.Source) (*Device, error) {
 	d.histQuery = &m.histQueryHist
 	old := sh.list()
 	at := sort.Search(len(old), func(i int) bool { return old[i].name > name })
-	next := make([]*Device, 0, len(old)+1)
-	next = append(next, old[:at]...)
-	next = append(next, d)
-	next = append(next, old[at:]...)
+	next := slices.Insert(slices.Clip(old), at, d) // a copy: readers hold old
 	sh.devices.Store(&next)
 	m.byName[name] = d
 	m.adopted.Add(1)
 	sh.adopted.Add(1)
 	m.events.Append(obs.EventAdopt, name, kind, "add")
-	if m.started {
-		m.startDriver(d)
+	if m.stop != nil {
+		d.pub.state.Store(int32(devStarted))
+		m.events.Append(obs.EventStart, name, kind, "")
 	}
 	return d, nil
 }
@@ -266,13 +264,13 @@ func (m *Manager) Add(name, kind string, src source.Source) (*Device, error) {
 // Remove retires the named station. The copy-on-write swap of its home
 // shard's list is the commit point — concurrent Snapshot, scrape and
 // StepAll callers stop seeing the station the moment it lands — after
-// which Remove stops the station's driver goroutine (waiting for its
-// in-flight step to finish), drains the in-flight downsample block into
-// the ring as a final short point, fans that point out, closes every
-// subscription, releases the source and returns the station's pooled
-// memory to its shard. Safe to call from any goroutine, concurrently
-// with Add, Stop, snapshots and subscriptions; removing an unknown (or
-// already removed) station returns an error.
+// which Remove waits out any in-flight step of the station, drains the
+// in-flight downsample block into the ring as a final short point, fans
+// that point out, closes every subscription, releases the source and
+// returns the station's pooled memory to its shard. Safe to call from
+// any goroutine, concurrently with Add, Stop, snapshots and
+// subscriptions; removing an unknown (or already removed) station
+// returns an error.
 func (m *Manager) Remove(name string) error {
 	m.mu.Lock()
 	d := m.byName[name]
@@ -282,27 +280,15 @@ func (m *Manager) Remove(name string) error {
 	}
 	delete(m.byName, name) // claims the device: no second Remove can reach it
 	sh := &m.shards[shardOf(name, len(m.shards))]
-	old := sh.list()
-	next := make([]*Device, 0, len(old)-1)
-	for _, o := range old {
-		if o != d {
-			next = append(next, o)
-		}
-	}
+	next := slices.DeleteFunc(slices.Clone(sh.list()), func(o *Device) bool { return o == d })
 	sh.devices.Store(&next) // commit: new readers no longer see the station
-	done := d.driveDone     // this run's driver exit signal, nil if never driven
 	m.retired.Add(1)
 	sh.retired.Add(1)
 	m.events.Append(obs.EventRetire, name, d.kind, "remove")
 	m.mu.Unlock()
 
-	// Stop the driver without holding the manager lock: the goroutine may
-	// be mid-step, and a slice of virtual time can take real time.
-	d.pub.state.Store(int32(devStopping))
-	close(d.retire) // single close guaranteed by the byName claim above
-	if done != nil {
-		<-done
-	}
+	// Drain without the manager lock: close waits out a quantum stepping
+	// the station now, and a quantum still holding the old list no-ops.
 	if d.close() {
 		m.events.Append(obs.EventClose, name, d.kind, "remove")
 	}
@@ -387,20 +373,20 @@ func (m *Manager) Events() *obs.EventRing { return m.events }
 // shard's stripe); Snapshot and Count present the fleet-wide sum.
 func (m *Manager) IngestFoldHist() *obs.ShardedHist { return m.foldHist }
 
-// PaceLatenessHist returns the distribution of driver pacing lateness on
-// paced fleets (Config.Rate > 0): how far past its absolute schedule each
-// slice boundary completed — timer overshoot when the host keeps up,
-// whole-slice overruns when it does not. Unpaced fleets record nothing.
+// PaceLatenessHist returns the distribution of pacer lateness on paced
+// fleets (Config.Rate > 0): how far past its absolute schedule each fleet
+// quantum completed — timer overshoot when the host keeps up, whole-
+// quantum overruns when it does not. Unpaced fleets record nothing.
 func (m *Manager) PaceLatenessHist() *obs.Hist { return &m.paceHist }
 
 // HistoryQueryHist returns the latency distribution of windowed energy
 // queries (Device.EnergyWindow).
 func (m *Manager) HistoryQueryHist() *obs.Hist { return &m.histQueryHist }
 
-// ShardStepHist returns the distribution of per-shard StepAll quantum
-// latency: the time one shard took to advance all its stations by one
-// slice quantum, whether stepped serially or by its shard worker. Fleets
-// driven only by Start record nothing here.
+// ShardStepHist returns the distribution of per-shard quantum latency:
+// the time one shard took to advance all its stations by one slice
+// quantum, whether stepped serially or by its shard worker, and whether
+// the quantum came from Start's pacer or from StepAll.
 func (m *Manager) ShardStepHist() *obs.Hist { return &m.stepHist }
 
 // HealthCounts tallies the fleet's published health states: stations is
@@ -480,129 +466,100 @@ func (m *Manager) ShardSize(s int) int {
 	return len(m.shards[s].list())
 }
 
-// Start launches one goroutine per station, each repeatedly advancing its
-// station by Config.Slice of virtual time (paced against the wall clock
-// when Config.Rate is set). Stations Added while running get their own
-// driver on the same run. Start is idempotent until Stop.
+// Start launches the fleet's pacer: one goroutine stepping every station
+// by Config.Slice per quantum through stepQuantum, paced against the wall
+// clock when Config.Rate is set. Stations Added while running join at the
+// next quantum. Start is idempotent until Stop.
 func (m *Manager) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.started {
+	if m.stop != nil {
 		return
 	}
-	m.started = true
-	m.stop = make(chan struct{})
-	m.wg = &sync.WaitGroup{}
+	m.stop, m.pacerDone = make(chan struct{}), make(chan struct{})
 	for s := range m.shards {
 		for _, d := range m.shards[s].list() {
-			m.startDriver(d)
+			d.pub.state.Store(int32(devStarted))
+			m.events.Append(obs.EventStart, d.name, d.kind, "")
 		}
 	}
+	go m.pace(m.stop, m.pacerDone)
 }
 
-// startDriver launches d's drive goroutine on the current run. Called
-// with m.mu held and m.started true — from Start, and from Add when the
-// manager is already running.
-func (m *Manager) startDriver(d *Device) {
-	done := make(chan struct{})
-	d.driveDone = done
-	d.pub.state.Store(int32(devStarted))
-	m.events.Append(obs.EventStart, d.name, d.kind, "")
-	m.wg.Add(1)
-	go m.drive(d, m.stop, m.wg, done)
-}
-
-// drive is one station's advance loop. stop, wg and done are captured per
-// run so a Stop racing a later Start waits only for (and signals only) its
-// own generation of goroutines. The loop exits on the run-wide stop
-// channel (Stop) or the device's own retire channel (Remove), whichever
-// closes first; done signals the exit to a Remove waiting to drain.
-func (m *Manager) drive(d *Device, stop chan struct{}, wg *sync.WaitGroup, done chan struct{}) {
-	defer func() {
-		// A stopped (not retired) station returns to adopted, ready for
-		// the next Start; a retiring one is already marked stopping and
-		// the swap leaves that state in place for close to finish. The
-		// generation check under m.mu keeps a stale driver — one exiting
-		// after a quick Stop/Start already launched its successor — from
-		// clobbering the started state the new run just published.
-		m.mu.Lock()
-		if d.driveDone == done {
-			d.pub.state.CompareAndSwap(int32(devStarted), int32(devAdopted))
-		}
-		m.mu.Unlock()
-		close(done)
-		wg.Done()
-	}()
-	wallPerSlice := time.Duration(0)
+// pace steps the fleet one quantum at a time until stop closes, then
+// closes done. It paces against an absolute schedule, not per-quantum
+// sleeps: timer overshoot and slow quanta borrow from later ones, so
+// virtual time tracks wall × rate without drift. More than a second
+// behind, it resyncs instead of bursting to catch up.
+func (m *Manager) pace(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	var wallPerQuantum time.Duration
 	if m.cfg.Rate > 0 {
-		wallPerSlice = time.Duration(float64(m.cfg.Slice) / m.cfg.Rate)
+		wallPerQuantum = time.Duration(float64(m.cfg.Slice) / m.cfg.Rate)
 	}
-	// Pace against an absolute schedule, not per-iteration sleeps: timer
-	// overshoot and slow steps borrow from later slices, so virtual time
-	// tracks wall × rate without accumulating drift. If the host falls
-	// more than a second behind, resync instead of bursting to catch up.
 	next := time.Now()
 	for {
 		select {
 		case <-stop:
 			return
-		case <-d.retire:
-			return
 		default:
 		}
-		d.step(m.cfg.Slice)
-		if wallPerSlice > 0 {
-			next = next.Add(wallPerSlice)
-			if rest := time.Until(next); rest > 0 {
+		m.stepQuantum(m.cfg.Slice)
+		if wallPerQuantum == 0 {
+			if m.Size() == 0 { // unpaced and empty: idle, don't spin
 				select {
 				case <-stop:
 					return
-				case <-d.retire:
-					return
-				case <-time.After(rest):
-					// Timer overshoot: how late past the schedule the
-					// sleep actually returned.
-					m.paceHist.Record(time.Since(next))
-				}
-			} else {
-				// The step itself overran the slice's wall budget; -rest is
-				// how far behind schedule this boundary already is.
-				m.paceHist.Record(-rest)
-				if rest < -time.Second {
-					next = time.Now()
+				case <-time.After(m.cfg.Slice):
 				}
 			}
+			continue
+		}
+		next = next.Add(wallPerQuantum)
+		rest := time.Until(next)
+		if rest <= 0 {
+			m.paceHist.Record(-rest) // the quantum overran its wall budget
+			if rest < -time.Second {
+				next = time.Now()
+			}
+			continue
+		}
+		select {
+		case <-stop:
+			return
+		case <-time.After(rest):
+			m.paceHist.Record(time.Since(next)) // timer overshoot
 		}
 	}
 }
 
-// Stop halts the station goroutines and waits for them. The fleet can be
-// Started again afterwards.
+// Stop halts the pacer, returns the driven stations to adopted and waits
+// off the lock for the in-flight quantum. The fleet can be Started again;
+// a Start racing that wait steps beside it, as stepQuantum allows.
 func (m *Manager) Stop() {
 	m.mu.Lock()
-	if !m.started {
-		m.mu.Unlock()
-		return
+	stop, done := m.stop, m.pacerDone
+	if stop != nil {
+		close(stop)
+		m.stop = nil
+		for s := range m.shards {
+			for _, d := range m.shards[s].list() {
+				d.pub.state.CompareAndSwap(int32(devStarted), int32(devAdopted))
+			}
+		}
 	}
-	close(m.stop)
-	m.started = false
-	wg := m.wg
 	m.mu.Unlock()
-	wg.Wait()
+	if done != nil {
+		<-done // closed once that run's pacer has exited
+	}
 }
 
 // StepAll synchronously advances every station by d of virtual time —
-// deterministic single-goroutine semantics for tests, benchmarks and
-// one-shot tools. The step proceeds in Config.Slice quanta (matching the
-// cadence drive goroutines use, and keeping batch columns inside their
-// pre-sized slabs on warmup bursts); within each quantum, fleets of at
-// least stepParallelMin stations fan the shards out to persistent
-// per-shard worker goroutines, with a full rendezvous between quanta so
-// no station runs ahead. The fan-out allocates nothing in steady state —
-// workers are persistent, the handoff is a channel send of a scalar —
-// preserving the zero-alloc StepAll contract at every fleet size. Safe
-// to call while Started (steps interleave with the drive goroutines),
-// though deterministic only when stopped.
+// deterministic semantics for tests, benchmarks and one-shot tools — in
+// the Config.Slice quanta Start's pacer steps, which keeps batch columns
+// inside their pre-sized slabs on warmup bursts. Safe to call while
+// Started (quanta interleave with the pacer's), though deterministic
+// only when stopped.
 func (m *Manager) StepAll(d time.Duration) {
 	for d > 0 {
 		q := d
@@ -615,7 +572,10 @@ func (m *Manager) StepAll(d time.Duration) {
 }
 
 // stepQuantum advances every station by one quantum, serially for small
-// fleets and via the shard workers otherwise.
+// fleets. Fleets of at least stepParallelMin stations fan the shards out
+// to the persistent per-shard workers, with a full rendezvous so no
+// station runs ahead; the handoff is a channel send of a scalar, so the
+// fan-out allocates nothing in steady state at any fleet size.
 func (m *Manager) stepQuantum(q time.Duration) {
 	if len(m.shards) == 1 || m.Size() < stepParallelMin {
 		for s := range m.shards {

@@ -16,14 +16,10 @@ const MaxShards = 64
 // folded modulo the shard count. The hash is a pure function of the name,
 // so a station retired and re-added always lands in the same shard.
 func shardOf(name string, nshards int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(fnvOffset64)
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
-		h *= prime64
+		h *= fnvPrime64
 	}
 	return int(h % uint64(nshards))
 }

@@ -20,9 +20,9 @@ func fleetLikeWatts(r *rng.Source, i int) float64 {
 }
 
 // BenchmarkHistoryAppend measures steady-state append cost on the
-// default configuration and reports the achieved compression ratio —
-// the BENCH_fleet.json history row. Allocations amortise to ~0: only a
-// block seal (every 1024 appends) allocates.
+// default configuration and reports the achieved compression ratio,
+// which perfbench reports as history.bytes_per_point. Allocations
+// amortise to ~0: only a block seal (every 1024 appends) allocates.
 func BenchmarkHistoryAppend(b *testing.B) {
 	s := New(Config{})
 	r := rng.New(1)

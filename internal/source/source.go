@@ -158,8 +158,8 @@ type Restarter interface {
 }
 
 // Source is a streaming measurement source on virtual time. Sources are
-// not safe for concurrent use; the fleet manager confines each to one
-// goroutine.
+// not safe for concurrent use; the fleet manager makes one call at a time
+// on each, under its station's lock.
 type Source interface {
 	// Meta describes the backend. It is constant over the source's life.
 	Meta() Meta
@@ -179,6 +179,12 @@ type Source interface {
 	// Delivering no samples is not an error: a slice shorter than the
 	// sample period legitimately yields an empty batch, and silence is
 	// the consumer's gap detection's job, not the source's.
+	//
+	// ReadInto must not block on wall time. The fleet steps a shard's
+	// stations one after another on one goroutine, so a blocking read
+	// stalls every station in its shard and delays the whole fleet's
+	// quantum, not only its own station. Every bundled source computes
+	// its batch on virtual time and returns at once.
 	ReadInto(d time.Duration, b *Batch) error
 	// Joules returns the backend's cumulative energy counter, summed
 	// over channels — the PowerSensor3 host-library accumulator, or the
