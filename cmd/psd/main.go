@@ -73,9 +73,8 @@
 //	             1 MiB — weeks of millisecond-averaged points at the tier's
 //	             typical >4x compression). The long-horizon tier sits behind
 //	             each station's ring, takes every ring point as the station
-//	             steps, and answers the windowed energy API; negative
-//	             disables it, leaving energy queries to the ring's short
-//	             retention
+//	             steps, and answers the windowed energy API; it is always
+//	             on, and a negative budget is a usage error
 //	-warmup      virtual time advanced synchronously before serving, so the
 //	             first scrape already sees data
 //	-log-format  "text" (default) or "json": structured log/slog output on
@@ -233,7 +232,7 @@ func main() {
 	ring := flag.Int("ring", 4096, "per-station ring capacity in points")
 	shards := flag.Int("shards", 8, "fleet shard count and stepping parallelism, 1-64 (1 = unsharded, serial)")
 	histBytes := flag.Int("history", 0,
-		"per-station compressed history budget in bytes (0 = 1 MiB default, negative = disabled)")
+		"per-station compressed history budget in bytes, >= 0 (0 = 1 MiB default)")
 	warmup := flag.Duration("warmup", 2*time.Second, "virtual time simulated before serving")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	debugAddr := flag.String("debug-addr", "",
@@ -277,12 +276,8 @@ func main() {
 		}
 		return
 	}
-	if *rate < 0 {
-		fmt.Fprintln(os.Stderr, "psd: -rate must be >= 0 (0 = unpaced)")
-		os.Exit(2)
-	}
-	if *shards < 1 || *shards > fleet.MaxShards {
-		fmt.Fprintf(os.Stderr, "psd: -shards must be in [1, %d]\n", fleet.MaxShards)
+	if err := checkFleetFlags(*rate, *shards, *histBytes); err != nil {
+		fmt.Fprintln(os.Stderr, "psd:", err)
 		os.Exit(2)
 	}
 	if err := run(*listen, *debugAddr, *spec, *seed, *rate, *slice, *block, *ring,
@@ -290,6 +285,20 @@ func main() {
 		logger.Error("exiting", "err", err)
 		os.Exit(1)
 	}
+}
+
+// checkFleetFlags returns the usage error in the fleet-building flag
+// values, or nil.
+func checkFleetFlags(rate float64, shards, histBytes int) error {
+	switch {
+	case rate < 0:
+		return errors.New("-rate must be >= 0 (0 = unpaced)")
+	case shards < 1 || shards > fleet.MaxShards:
+		return fmt.Errorf("-shards must be in [1, %d]", fleet.MaxShards)
+	case histBytes < 0:
+		return errors.New("-history must be >= 0 (0 = 1 MiB default)")
+	}
+	return nil
 }
 
 // fleetFlagsSet lists the fleet-building flags the user set explicitly —

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/simsetup"
 )
 
@@ -360,8 +361,7 @@ func TestAdminAddRemove(t *testing.T) {
 // TestEnergyEndpointThroughDaemon wires the daemon as run does and
 // exercises the windowed energy API end to end: the warmed default fleet
 // answers a real window with positive joules, an empty window is exactly
-// 0 J, and the history trace export round-trips. With -history negative
-// the tier is off but the endpoint still answers from the ring.
+// 0 J, and the history trace export round-trips.
 func TestEnergyEndpointThroughDaemon(t *testing.T) {
 	mgr, handler, err := setup("gpu0=synth", 1, 0, 5*time.Millisecond,
 		20, 4096, 8, 0, 500*time.Millisecond, nil)
@@ -413,29 +413,29 @@ func TestEnergyEndpointThroughDaemon(t *testing.T) {
 	if _, body = get("/metrics"); !strings.Contains(body, "powersensor_self_history_points ") {
 		t.Error("/metrics missing history self-telemetry")
 	}
+}
 
-	// -history -1: tier off, ring fallback still answers.
-	mgrOff, handlerOff, err := setup("gpu0=synth", 1, 0, 5*time.Millisecond,
-		20, 4096, 8, -1, 200*time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
+// TestCheckFleetFlags: the history tier is always on, so a negative
+// -history budget is refused as a usage error, as are a negative -rate
+// and an out-of-range -shards.
+func TestCheckFleetFlags(t *testing.T) {
+	if err := checkFleetFlags(1, 8, 0); err != nil {
+		t.Errorf("default flags refused: %v", err)
 	}
-	defer mgrOff.Close()
-	srvOff := httptest.NewServer(handlerOff)
-	defer srvOff.Close()
-	resp, err := http.Get(srvOff.URL + "/api/device/gpu0/energy?from=0.05&to=0.15")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("disabled-tier /energy: status %d", resp.StatusCode)
-	}
-	if err := json.Unmarshal(raw, &ans); err != nil {
-		t.Fatal(err)
-	}
-	if ans.Joules <= 0 {
-		t.Errorf("disabled-tier energy = %v J, want ring-fallback > 0", ans.Joules)
+	for _, c := range []struct {
+		rate              float64
+		shards, histBytes int
+		want              string
+	}{
+		{1, 8, -1, "-history"},
+		{-1, 8, 0, "-rate"},
+		{1, 0, 0, "-shards"},
+		{1, fleet.MaxShards + 1, 0, "-shards"},
+	} {
+		err := checkFleetFlags(c.rate, c.shards, c.histBytes)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("checkFleetFlags(%v, %d, %d) = %v, want a %s usage error",
+				c.rate, c.shards, c.histBytes, err, c.want)
+		}
 	}
 }

@@ -94,9 +94,8 @@
 // running manager (the pacer steps it from the next quantum) and retired
 // at any time: the copy-on-write device-list swap is the commit point for
 // concurrent snapshots and scrapes, after which the station is no longer
-// stepped, the in-flight downsample block drains into the ring as one
-// final point, subscriptions receive that point and close, and the
-// source is released.
+// stepped, the in-flight downsample block drains into the ring and the
+// history series as one final point, and the source is released.
 // Each station moves through an explicit lifecycle:
 //
 //	          Manager.Start / hot Add
@@ -107,9 +106,10 @@
 //	                                        │ Manager.Remove
 //	                                        ▼
 //	                                    stopping ──drain──► closed
-//	                                (no more steps,    (subscriptions
-//	                                 final block        closed, source
-//	                                 drains to ring)    released)
+//	                                (no more steps,     (source
+//	                                 final block         released)
+//	                                 drains to ring
+//	                                 and history)
 //
 // Churn is observable end to end: the manager counts adoptions and
 // retirements (exported as powersensor_fleet_{adopted,retired}_total),

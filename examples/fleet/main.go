@@ -144,7 +144,7 @@ func main() {
 	}
 
 	// Retire it again: stepping stops, the in-flight downsample block
-	// drains into the ring as a final point, subscriptions close, and the
+	// drains into the ring and history as a final point, and the
 	// station's series leave the exposition — the survivors never pause.
 	if err := mgr.Remove("gpu1"); err != nil {
 		log.Fatal(err)

@@ -171,7 +171,7 @@ func (e *Exporter) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", e.metrics)
 	mux.HandleFunc("GET /api/fleet", e.fleetJSON)
-	mux.HandleFunc("GET /api/events", e.eventsJSON)
+	mux.HandleFunc("GET /api/events", EventsHandler(e.mgr.Events()))
 	mux.HandleFunc("GET /api/device/{name}/trace", e.deviceTrace)
 	mux.HandleFunc("GET /api/device/{name}/energy", e.deviceEnergy)
 	mux.HandleFunc("GET /api/device/{name}/history", e.deviceHistory)
@@ -213,101 +213,100 @@ func (e *Exporter) index(w http.ResponseWriter, _ *http.Request) {
 `, e.mgr.Size())
 }
 
-// header pre-renders one family's HELP/TYPE comment block.
-func header(name, help, typ string) string {
+// Header renders one family's HELP/TYPE comment block. The exporter
+// renders its own skeleton with it once at package load; a federation
+// head composes its self families with it.
+func Header(name, help, typ string) string {
 	return "# HELP " + name + " " + help + "\n# TYPE " + name + " " + typ + "\n"
 }
 
 // The exposition skeleton, rendered once at package load. Family order is
 // fixed so the output stays golden-testable.
 var (
-	hdrFleetDevices = header("powersensor_fleet_devices",
+	hdrFleetDevices = Header("powersensor_fleet_devices",
 		"Stations owned by the fleet manager.", "gauge")
-	hdrFleetAdopted = header("powersensor_fleet_adopted_total",
+	hdrFleetAdopted = Header("powersensor_fleet_adopted_total",
 		"Stations ever adopted by the fleet manager.", "counter")
-	hdrFleetRetired = header("powersensor_fleet_retired_total",
+	hdrFleetRetired = Header("powersensor_fleet_retired_total",
 		"Stations ever retired from the fleet manager.", "counter")
-	hdrSourceInfo = header("powersensor_source_info",
+	hdrSourceInfo = Header("powersensor_source_info",
 		"Measurement backend serving each station; always 1.", "gauge")
-	hdrSourceRate = header("powersensor_source_rate_hz",
+	hdrSourceRate = Header("powersensor_source_rate_hz",
 		"Native sample rate of each station's backend, in hertz.", "gauge")
-	hdrSourceOverhead = header("powersensor_source_overhead_seconds",
+	hdrSourceOverhead = Header("powersensor_source_overhead_seconds",
 		"Cumulative wall time each station's source spent sampling inside ReadInto, in seconds.", "gauge")
-	hdrWatts = header("powersensor_watts",
+	hdrWatts = Header("powersensor_watts",
 		"Block-averaged power per measurement channel, in watts.", "gauge")
-	hdrBoardWatts = header("powersensor_board_watts",
+	hdrBoardWatts = Header("powersensor_board_watts",
 		"Block-averaged summed board power per station, in watts.", "gauge")
-	hdrJoules = header("powersensor_joules_total",
+	hdrJoules = Header("powersensor_joules_total",
 		"Cumulative energy per station since adoption, in joules.", "counter")
-	hdrSamples = header("powersensor_samples_total",
+	hdrSamples = Header("powersensor_samples_total",
 		"Sample sets ingested per station, at the source's native rate.", "counter")
-	hdrMarks = header("powersensor_marks_total",
+	hdrMarks = Header("powersensor_marks_total",
 		"Time-synced user markers ingested per station.", "counter")
-	hdrResyncs = header("powersensor_resyncs_total",
+	hdrResyncs = Header("powersensor_resyncs_total",
 		"Stream bytes skipped to regain protocol alignment.", "counter")
-	hdrDropped = header("powersensor_dropped_deliveries_total",
-		"Subscriber deliveries dropped on full fan-out channels.", "counter")
-	hdrRingPoints = header("powersensor_ring_points",
+	hdrRingPoints = Header("powersensor_ring_points",
 		"Downsampled points currently buffered per station.", "gauge")
-	hdrVirtualSeconds = header("powersensor_device_virtual_seconds",
+	hdrVirtualSeconds = Header("powersensor_device_virtual_seconds",
 		"Virtual time of each station's clock, in seconds.", "gauge")
-	hdrStationHealth = header("powersensor_station_health",
+	hdrStationHealth = Header("powersensor_station_health",
 		"Watchdog health rank per station: 0 healthy, 1 degraded, 2 flatlined, 3 stale.", "gauge")
-	hdrStationGaps = header("powersensor_station_gaps_total",
+	hdrStationGaps = Header("powersensor_station_gaps_total",
 		"Delivery-gap episodes the watchdog opened per station.", "counter")
-	hdrStationFlatlines = header("powersensor_station_flatlines_total",
+	hdrStationFlatlines = Header("powersensor_station_flatlines_total",
 		"Flatline episodes (runs of bit-identical blocks) detected per station.", "counter")
-	hdrStationSpikesQ = header("powersensor_station_spikes_quarantined_total",
+	hdrStationSpikesQ = Header("powersensor_station_spikes_quarantined_total",
 		"Isolated glitch samples quarantined before ingest per station.", "counter")
-	hdrStationRestarts = header("powersensor_station_restarts_total",
+	hdrStationRestarts = Header("powersensor_station_restarts_total",
 		"Source restart attempts the watchdog issued per station.", "counter")
 
 	// Self-telemetry tail families: the system observing itself. These
 	// render fresh on every scrape, after (and outside) the cached fleet
 	// section.
-	hdrSelfIngestFold = header(famIngestFold,
+	hdrSelfIngestFold = Header(famIngestFold,
 		"Latency of folding one ingest step's batch into the downsample state, history append included, fleet-wide, sampled 1-in-32 steps.", "histogram")
-	hdrSelfPacing = header(famPacing,
+	hdrSelfPacing = Header(famPacing,
 		"How far past its absolute schedule each paced fleet quantum completed; empty on unpaced fleets.", "histogram")
-	hdrSelfStageRead = header(famStageRead,
+	hdrSelfStageRead = Header(famStageRead,
 		"ReadInto latency per derived-source pipeline stage kind, inner source included; stage kinds never run are omitted.", "histogram")
-	hdrSelfScrape = header(famScrape,
+	hdrSelfScrape = Header(famScrape,
 		"Time to assemble one /metrics body, by serve path (full render vs cached fleet section).", "histogram")
-	hdrSelfCacheHits = header("powersensor_self_scrape_cache_hits_total",
+	hdrSelfCacheHits = Header("powersensor_self_scrape_cache_hits_total",
 		"Scrapes whose fleet section was served from the block-generation body cache.", "counter")
-	hdrSelfCacheMisses = header("powersensor_self_scrape_cache_misses_total",
+	hdrSelfCacheMisses = Header("powersensor_self_scrape_cache_misses_total",
 		"Scrapes that re-rendered at least one shard segment on a cold or stale cache.", "counter")
-	hdrSelfShardRenders = header("powersensor_self_shard_renders_total",
+	hdrSelfShardRenders = Header("powersensor_self_shard_renders_total",
 		"Shard exposition segments re-rendered across all scrapes; one busy shard advances this by one per scrape, not by the shard count.", "counter")
-	hdrSelfShardRender = header(famShardRender,
+	hdrSelfShardRender = Header(famShardRender,
 		"Time to re-render one stale shard's exposition segment.", "histogram")
-	hdrSelfShardStep = header(famShardStep,
+	hdrSelfShardStep = Header(famShardStep,
 		"Wall time one fleet shard spent stepping its stations through one fleet quantum, paced or StepAll.", "histogram")
-	hdrSelfEvents = header("powersensor_self_events_total",
+	hdrSelfEvents = Header("powersensor_self_events_total",
 		"Fleet lifecycle events ever recorded (adopt, start, retire, close).", "counter")
-	hdrSelfEventsDropped = header("powersensor_self_events_dropped_total",
+	hdrSelfEventsDropped = Header("powersensor_self_events_dropped_total",
 		"Lifecycle events overwritten after the event ring filled.", "counter")
-	hdrSelfRingFill = header("powersensor_self_ring_fill_ratio",
+	hdrSelfRingFill = Header("powersensor_self_ring_fill_ratio",
 		"Fleet-wide ring occupancy: downsampled points held over total ring capacity.", "gauge")
-	hdrSelfHistPoints = header("powersensor_self_history_points",
+	hdrSelfHistPoints = Header("powersensor_self_history_points",
 		"Points held across every station's compressed long-horizon history series.", "gauge")
-	hdrSelfHistBytes = header("powersensor_self_history_bytes",
+	hdrSelfHistBytes = Header("powersensor_self_history_bytes",
 		"Compressed bytes held across every station's history series.", "gauge")
-	hdrSelfHistBlocks = header("powersensor_self_history_blocks",
+	hdrSelfHistBlocks = Header("powersensor_self_history_blocks",
 		"Sealed compressed blocks held across every station's history series.", "gauge")
-	hdrSelfHistRatio = header("powersensor_self_history_compression_ratio",
+	hdrSelfHistRatio = Header("powersensor_self_history_compression_ratio",
 		"Fleet-wide history compression ratio: raw float64 bytes over compressed bytes; 0 while empty.", "gauge")
-	hdrSelfHistQuery = header(famHistQuery,
+	hdrSelfHistQuery = Header(famHistQuery,
 		"Time one windowed energy query took.", "histogram")
-	hdrBuildInfo = header("powersensor_build_info",
+	hdrBuildInfo = Header("powersensor_build_info",
 		"Build identity of this daemon; always 1.", "gauge")
-	hdrScrapeDuration = header("powersensor_scrape_duration_seconds",
+	hdrScrapeDuration = Header("powersensor_scrape_duration_seconds",
 		"Wall time spent rendering this scrape.", "gauge")
 )
 
-// Histogram family names. Kept as constants so call sites can form the
-// _bucket/_sum/_count series names by constant concatenation — resolved
-// at compile time, nothing on the scrape path builds strings.
+// Histogram family names, shared by each family's HELP/TYPE header and
+// its pre-rendered series.
 const (
 	famIngestFold  = "powersensor_self_ingest_fold_seconds"
 	famPacing      = "powersensor_self_pacing_late_seconds"
@@ -322,7 +321,7 @@ const (
 // into segments and concatenated family-major at assembly. The
 // three fleet-scalar families (devices, adopted, retired) precede them in
 // the body but are appended directly, not segmented.
-const nDevFams = 17
+const nDevFams = 16
 
 // devFamHdrs lists the per-device family HELP/TYPE blocks in exposition
 // order, index-aligned with the family switch in appendDevFam and the
@@ -330,26 +329,33 @@ const nDevFams = 17
 var devFamHdrs = [nDevFams]string{
 	hdrSourceInfo, hdrSourceRate, hdrSourceOverhead,
 	hdrWatts, hdrBoardWatts, hdrJoules,
-	hdrSamples, hdrMarks, hdrResyncs, hdrDropped,
+	hdrSamples, hdrMarks, hdrResyncs,
 	hdrRingPoints, hdrVirtualSeconds,
 	hdrStationHealth, hdrStationGaps, hdrStationFlatlines,
 	hdrStationSpikesQ, hdrStationRestarts,
 }
 
-// histSeries is the pre-rendered label set of one histogram series: a
-// {le="..."} block per bucket (with any extra labels folded in) and the
-// plain block the _sum/_count lines carry. Rendered once at package
-// load, like the family headers, so scraping a histogram appends cached
-// strings and freshly formatted numbers only.
-type histSeries struct {
-	buckets [obs.NumBuckets]string
-	plain   string
+// HistSeries is a pre-rendered exposition histogram series: the family's
+// _bucket/_sum/_count names joined once, a {le="..."} block per bucket
+// with any extra labels folded in, and the plain block the _sum/_count
+// lines carry. Build one per (family, label set) ahead of scraping — the
+// exporter's self families are rendered once at package load, a head's
+// per leaf at construction — so Append renders the whole series from
+// cached strings and freshly formatted numbers only.
+type HistSeries struct {
+	bucketName, sumName, countName string
+	buckets                        [obs.NumBuckets]string
+	plain                          string
 }
 
-// newHistSeries pre-renders the series whose extra labels are given as a
-// rendered `k="v"` fragment ("" for none).
-func newHistSeries(extra string) *histSeries {
-	hs := &histSeries{}
+// NewHistSeries pre-renders the series of family with the extra labels
+// given as a rendered `k="v"` fragment ("" for none).
+func NewHistSeries(family, extra string) *HistSeries {
+	hs := &HistSeries{
+		bucketName: family + "_bucket",
+		sumName:    family + "_sum",
+		countName:  family + "_count",
+	}
 	for i := range hs.buckets {
 		le := "+Inf"
 		if i < obs.NumBuckets-1 {
@@ -367,48 +373,50 @@ func newHistSeries(extra string) *histSeries {
 	return hs
 }
 
+// Append renders the histogram snapshot in exposition form: cumulative
+// _bucket lines (the last is the +Inf bucket, equal to _count by
+// construction — see obs.Hist.Snapshot), then _sum and _count.
+func (h *HistSeries) Append(buf []byte, snap *obs.HistSnapshot) []byte {
+	var cum uint64
+	for i := 0; i < obs.NumBuckets; i++ {
+		cum += snap.Buckets[i]
+		buf = AppendSample(buf, h.bucketName, h.buckets[i], float64(cum))
+	}
+	buf = AppendSample(buf, h.sumName, h.plain, snap.Sum.Seconds())
+	return AppendSample(buf, h.countName, h.plain, float64(snap.Count))
+}
+
+// The self families' histogram series, rendered once at package load.
 var (
-	histPlainSeries    = newHistSeries("")
-	scrapeRenderSeries = newHistSeries(`path="render"`)
-	scrapeCachedSeries = newHistSeries(`path="cached"`)
+	ingestFoldSeries   = NewHistSeries(famIngestFold, "")
+	pacingSeries       = NewHistSeries(famPacing, "")
+	scrapeRenderSeries = NewHistSeries(famScrape, `path="render"`)
+	scrapeCachedSeries = NewHistSeries(famScrape, `path="cached"`)
+	shardRenderSeries  = NewHistSeries(famShardRender, "")
+	shardStepSeries    = NewHistSeries(famShardStep, "")
+	histQuerySeries    = NewHistSeries(famHistQuery, "")
 
 	// stageSeries is index-aligned with pipeline.ReadHists().
-	stageSeries = func() []*histSeries {
-		var out []*histSeries
+	stageSeries = func() []*HistSeries {
+		var out []*HistSeries
 		for _, sh := range pipeline.ReadHists() {
-			out = append(out, newHistSeries(`stage="`+escapeLabel(sh.Stage)+`"`))
+			out = append(out, NewHistSeries(famStageRead, `stage="`+Escape(sh.Stage)+`"`))
 		}
 		return out
 	}()
 
 	// buildInfoLine is the one constant sample of powersensor_build_info,
 	// rendered once at load from the link-time-stamped version.
-	buildInfoLine = "powersensor_build_info{version=\"" + escapeLabel(version.Version) +
-		"\",go=\"" + escapeLabel(version.GoVersion()) + "\"} 1\n"
+	buildInfoLine = "powersensor_build_info{version=\"" + Escape(version.Version) +
+		"\",go=\"" + Escape(version.GoVersion()) + "\"} 1\n"
 )
 
-// appendHist renders one histogram series in exposition form: cumulative
-// _bucket lines (the last is the +Inf bucket, equal to _count by
-// construction — see obs.Hist.Snapshot), then _sum and _count. The
-// series names are passed pre-joined so this appends only cached strings
-// and numbers.
-func appendHist(buf []byte, bucketName, sumName, countName string, hs *histSeries, snap *obs.HistSnapshot) []byte {
-	var cum uint64
-	for i := 0; i < obs.NumBuckets; i++ {
-		cum += snap.Buckets[i]
-		buf = appendSample(buf, bucketName, hs.buckets[i], float64(cum))
-	}
-	buf = appendSample(buf, sumName, hs.plain, snap.Sum.Seconds())
-	buf = appendSample(buf, countName, hs.plain, float64(snap.Count))
-	return buf
-}
-
-// appendSample renders one exposition line: name, optional label block,
-// value, newline — all appends into the pooled buffer. Integral values
-// (most of a scrape: counters, rates, the info gauge) take the integer
-// formatter, several times cheaper than shortest-float; both spell
-// integers below 1e15 identically, so the output is unchanged.
-func appendSample(buf []byte, name, labels string, v float64) []byte {
+// AppendSample renders one exposition line: name, optional label block,
+// value, newline — all appends into buf. Integral values (most of a
+// scrape: counters, rates, the info gauge) take the integer formatter,
+// several times cheaper than shortest-float; both spell integers below
+// 1e15 identically, so the output is unchanged.
+func AppendSample(buf []byte, name, labels string, v float64) []byte {
 	buf = append(buf, name...)
 	buf = append(buf, labels...)
 	buf = append(buf, ' ')
@@ -461,11 +469,11 @@ func (e *Exporter) metrics(w http.ResponseWriter, _ *http.Request) {
 	// across shards.
 	buf := st.buf[:0]
 	buf = append(buf, hdrFleetDevices...)
-	buf = appendSample(buf, "powersensor_fleet_devices", "", float64(e.mgr.Size()))
+	buf = AppendSample(buf, "powersensor_fleet_devices", "", float64(e.mgr.Size()))
 	buf = append(buf, hdrFleetAdopted...)
-	buf = appendSample(buf, "powersensor_fleet_adopted_total", "", float64(adopted))
+	buf = AppendSample(buf, "powersensor_fleet_adopted_total", "", float64(adopted))
 	buf = append(buf, hdrFleetRetired...)
-	buf = appendSample(buf, "powersensor_fleet_retired_total", "", float64(retired))
+	buf = AppendSample(buf, "powersensor_fleet_retired_total", "", float64(retired))
 	buf = AppendSegments(buf, st.segs)
 
 	buf = e.appendSelf(buf, &st.hist, began)
@@ -519,42 +527,40 @@ func (e *Exporter) stageShard(s int, st *scrapeState) bool {
 func appendDevFam(buf []byte, f int, s *fleet.Status, l *devLabels) []byte {
 	switch f {
 	case 0:
-		return appendSample(buf, "powersensor_source_info", l.info, 1)
+		return AppendSample(buf, "powersensor_source_info", l.info, 1)
 	case 1:
-		return appendSample(buf, "powersensor_source_rate_hz", l.dev, s.RateHz)
+		return AppendSample(buf, "powersensor_source_rate_hz", l.dev, s.RateHz)
 	case 2:
-		return appendSample(buf, "powersensor_source_overhead_seconds", l.dev, s.OverheadSeconds)
+		return AppendSample(buf, "powersensor_source_overhead_seconds", l.dev, s.OverheadSeconds)
 	case 3:
 		for m, watts := range s.PairWatts {
-			buf = appendSample(buf, "powersensor_watts", l.pairs[m], watts)
+			buf = AppendSample(buf, "powersensor_watts", l.pairs[m], watts)
 		}
 		return buf
 	case 4:
-		return appendSample(buf, "powersensor_board_watts", l.dev, s.Watts)
+		return AppendSample(buf, "powersensor_board_watts", l.dev, s.Watts)
 	case 5:
-		return appendSample(buf, "powersensor_joules_total", l.dev, s.Joules)
+		return AppendSample(buf, "powersensor_joules_total", l.dev, s.Joules)
 	case 6:
-		return appendSample(buf, "powersensor_samples_total", l.dev, float64(s.Samples))
+		return AppendSample(buf, "powersensor_samples_total", l.dev, float64(s.Samples))
 	case 7:
-		return appendSample(buf, "powersensor_marks_total", l.dev, float64(s.Marks))
+		return AppendSample(buf, "powersensor_marks_total", l.dev, float64(s.Marks))
 	case 8:
-		return appendSample(buf, "powersensor_resyncs_total", l.dev, float64(s.Resyncs))
+		return AppendSample(buf, "powersensor_resyncs_total", l.dev, float64(s.Resyncs))
 	case 9:
-		return appendSample(buf, "powersensor_dropped_deliveries_total", l.dev, float64(s.Dropped))
+		return AppendSample(buf, "powersensor_ring_points", l.dev, float64(s.RingLen))
 	case 10:
-		return appendSample(buf, "powersensor_ring_points", l.dev, float64(s.RingLen))
+		return AppendSample(buf, "powersensor_device_virtual_seconds", l.dev, s.Now.Seconds())
 	case 11:
-		return appendSample(buf, "powersensor_device_virtual_seconds", l.dev, s.Now.Seconds())
+		return AppendSample(buf, "powersensor_station_health", l.dev, float64(fleet.HealthLevel(s.Health)))
 	case 12:
-		return appendSample(buf, "powersensor_station_health", l.dev, float64(fleet.HealthLevel(s.Health)))
+		return AppendSample(buf, "powersensor_station_gaps_total", l.dev, float64(s.Gaps))
 	case 13:
-		return appendSample(buf, "powersensor_station_gaps_total", l.dev, float64(s.Gaps))
+		return AppendSample(buf, "powersensor_station_flatlines_total", l.dev, float64(s.Flatlines))
 	case 14:
-		return appendSample(buf, "powersensor_station_flatlines_total", l.dev, float64(s.Flatlines))
-	case 15:
-		return appendSample(buf, "powersensor_station_spikes_quarantined_total", l.dev, float64(s.SpikesQuarantined))
+		return AppendSample(buf, "powersensor_station_spikes_quarantined_total", l.dev, float64(s.SpikesQuarantined))
 	default:
-		return appendSample(buf, "powersensor_station_restarts_total", l.dev, float64(s.Restarts))
+		return AppendSample(buf, "powersensor_station_restarts_total", l.dev, float64(s.Restarts))
 	}
 }
 
@@ -567,10 +573,10 @@ func appendDevFam(buf []byte, f int, s *fleet.Status, l *devLabels) []byte {
 func (e *Exporter) appendSelf(buf []byte, hs *obs.HistSnapshot, began time.Time) []byte {
 	buf = append(buf, hdrSelfIngestFold...)
 	e.mgr.IngestFoldHist().Snapshot(hs)
-	buf = appendHist(buf, famIngestFold+"_bucket", famIngestFold+"_sum", famIngestFold+"_count", histPlainSeries, hs)
+	buf = ingestFoldSeries.Append(buf, hs)
 	buf = append(buf, hdrSelfPacing...)
 	e.mgr.PaceLatenessHist().Snapshot(hs)
-	buf = appendHist(buf, famPacing+"_bucket", famPacing+"_sum", famPacing+"_count", histPlainSeries, hs)
+	buf = pacingSeries.Append(buf, hs)
 	// Stage histograms are process-wide; a stage kind no source in this
 	// process ever ran would render as an all-zero distribution, so those
 	// are omitted rather than claiming an empty measurement.
@@ -580,63 +586,63 @@ func (e *Exporter) appendSelf(buf []byte, hs *obs.HistSnapshot, began time.Time)
 		if hs.Count == 0 {
 			continue
 		}
-		buf = appendHist(buf, famStageRead+"_bucket", famStageRead+"_sum", famStageRead+"_count", stageSeries[i], hs)
+		buf = stageSeries[i].Append(buf, hs)
 	}
 	buf = append(buf, hdrSelfScrape...)
 	e.renderHist.Snapshot(hs)
-	buf = appendHist(buf, famScrape+"_bucket", famScrape+"_sum", famScrape+"_count", scrapeRenderSeries, hs)
+	buf = scrapeRenderSeries.Append(buf, hs)
 	e.cachedHist.Snapshot(hs)
-	buf = appendHist(buf, famScrape+"_bucket", famScrape+"_sum", famScrape+"_count", scrapeCachedSeries, hs)
+	buf = scrapeCachedSeries.Append(buf, hs)
 	buf = append(buf, hdrSelfCacheHits...)
-	buf = appendSample(buf, "powersensor_self_scrape_cache_hits_total", "", float64(e.cacheHits.Load()))
+	buf = AppendSample(buf, "powersensor_self_scrape_cache_hits_total", "", float64(e.cacheHits.Load()))
 	buf = append(buf, hdrSelfCacheMisses...)
-	buf = appendSample(buf, "powersensor_self_scrape_cache_misses_total", "", float64(e.cacheMisses.Load()))
+	buf = AppendSample(buf, "powersensor_self_scrape_cache_misses_total", "", float64(e.cacheMisses.Load()))
 	buf = append(buf, hdrSelfShardRenders...)
-	buf = appendSample(buf, "powersensor_self_shard_renders_total", "", float64(e.shardRenders.Load()))
+	buf = AppendSample(buf, "powersensor_self_shard_renders_total", "", float64(e.shardRenders.Load()))
 	buf = append(buf, hdrSelfShardRender...)
 	e.shardRenderHist.Snapshot(hs)
-	buf = appendHist(buf, famShardRender+"_bucket", famShardRender+"_sum", famShardRender+"_count", histPlainSeries, hs)
+	buf = shardRenderSeries.Append(buf, hs)
 	buf = append(buf, hdrSelfShardStep...)
 	e.mgr.ShardStepHist().Snapshot(hs)
-	buf = appendHist(buf, famShardStep+"_bucket", famShardStep+"_sum", famShardStep+"_count", histPlainSeries, hs)
+	buf = shardStepSeries.Append(buf, hs)
 	ev := e.mgr.Events()
 	buf = append(buf, hdrSelfEvents...)
-	buf = appendSample(buf, "powersensor_self_events_total", "", float64(ev.Total()))
+	buf = AppendSample(buf, "powersensor_self_events_total", "", float64(ev.Total()))
 	buf = append(buf, hdrSelfEventsDropped...)
-	buf = appendSample(buf, "powersensor_self_events_dropped_total", "", float64(ev.Dropped()))
+	buf = AppendSample(buf, "powersensor_self_events_dropped_total", "", float64(ev.Dropped()))
 	buf = append(buf, hdrSelfRingFill...)
 	held, capacity := e.mgr.RingOccupancy()
 	ratio := 0.0
 	if capacity > 0 {
 		ratio = float64(held) / float64(capacity)
 	}
-	buf = appendSample(buf, "powersensor_self_ring_fill_ratio", "", ratio)
+	buf = AppendSample(buf, "powersensor_self_ring_fill_ratio", "", ratio)
 	// The history tier's footprint, aggregated from the per-station
 	// atomic counters, plus the shared query timings.
 	hist := e.mgr.HistoryStats()
 	buf = append(buf, hdrSelfHistPoints...)
-	buf = appendSample(buf, "powersensor_self_history_points", "", float64(hist.Points))
+	buf = AppendSample(buf, "powersensor_self_history_points", "", float64(hist.Points))
 	buf = append(buf, hdrSelfHistBytes...)
-	buf = appendSample(buf, "powersensor_self_history_bytes", "", float64(hist.Bytes))
+	buf = AppendSample(buf, "powersensor_self_history_bytes", "", float64(hist.Bytes))
 	buf = append(buf, hdrSelfHistBlocks...)
-	buf = appendSample(buf, "powersensor_self_history_blocks", "", float64(hist.Blocks))
+	buf = AppendSample(buf, "powersensor_self_history_blocks", "", float64(hist.Blocks))
 	buf = append(buf, hdrSelfHistRatio...)
-	buf = appendSample(buf, "powersensor_self_history_compression_ratio", "", hist.Ratio())
+	buf = AppendSample(buf, "powersensor_self_history_compression_ratio", "", hist.Ratio())
 	buf = append(buf, hdrSelfHistQuery...)
 	e.mgr.HistoryQueryHist().Snapshot(hs)
-	buf = appendHist(buf, famHistQuery+"_bucket", famHistQuery+"_sum", famHistQuery+"_count", histPlainSeries, hs)
+	buf = histQuerySeries.Append(buf, hs)
 	buf = append(buf, hdrBuildInfo...)
 	buf = append(buf, buildInfoLine...)
 	buf = append(buf, hdrScrapeDuration...)
-	buf = appendSample(buf, "powersensor_scrape_duration_seconds", "", time.Since(began).Seconds())
+	buf = AppendSample(buf, "powersensor_scrape_duration_seconds", "", time.Since(began).Seconds())
 	return buf
 }
 
 // labelEscaper escapes label values per the exposition format.
 var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(s string) string {
+// Escape escapes a label value per the exposition format.
+func Escape(s string) string {
 	return labelEscaper.Replace(s)
 }
 
@@ -666,39 +672,38 @@ func (e *Exporter) fleetJSON(w http.ResponseWriter, r *http.Request) {
 	e.scratch.Put(st)
 }
 
-// eventLog is the /api/events response body: the most recent lifecycle
-// events oldest-first, plus the ring's lifetime totals. A gap between
-// total and len(events) (or a first seq above dropped+1) means older
-// events were overwritten.
-type eventLog struct {
-	Total   uint64      `json:"total"`
-	Dropped uint64      `json:"dropped"`
-	Events  []obs.Event `json:"events"`
-}
-
-// eventsJSON serves the tail of the fleet's lifecycle event ring. ?n=N
-// caps the tail at the N most recent events (default 100, at most the
-// ring's capacity).
-func (e *Exporter) eventsJSON(w http.ResponseWriter, r *http.Request) {
-	max := 100
-	if s := r.URL.Query().Get("n"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			http.Error(w, fmt.Sprintf("bad n=%q (want a positive count)", s),
-				http.StatusBadRequest)
-			return
+// EventsHandler serves the tail of ring as an /api/events body: the
+// most recent events oldest-first, plus the ring's lifetime totals. A
+// gap between total and len(events) (or a first seq above dropped+1)
+// means older events were overwritten. ?n=N caps the tail at the N most
+// recent events (default 100, at most the ring's capacity). A fleet
+// serves its lifecycle ring through it, a federation head its leaf
+// up/down and breaker ring.
+func EventsHandler(ring *obs.EventRing) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		max := 100
+		if s := r.URL.Query().Get("n"); s != "" {
+			n, err := strconv.Atoi(s)
+			if err != nil || n < 1 {
+				http.Error(w, fmt.Sprintf("bad n=%q (want a positive count)", s),
+					http.StatusBadRequest)
+				return
+			}
+			max = n
 		}
-		max = n
+		events := ring.Tail(max)
+		if events == nil {
+			events = []obs.Event{}
+		}
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(struct {
+			Total   uint64      `json:"total"`
+			Dropped uint64      `json:"dropped"`
+			Events  []obs.Event `json:"events"`
+		}{ring.Total(), ring.Dropped(), events})
 	}
-	ring := e.mgr.Events()
-	events := ring.Tail(max)
-	if events == nil {
-		events = []obs.Event{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(eventLog{Total: ring.Total(), Dropped: ring.Dropped(), Events: events})
 }
 
 // deviceTrace serves the recent downsampled trace of one station.
@@ -782,8 +787,7 @@ func windowOf(r *http.Request, d *fleet.Device) (from, to time.Duration, err err
 }
 
 // deviceEnergy serves a windowed energy query over one station's
-// long-horizon history tier (or its ring, on stations running without
-// the tier): the HTTP face of Device.EnergyWindow.
+// long-horizon history tier: the HTTP face of Device.EnergyWindow.
 func (e *Exporter) deviceEnergy(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	d := e.mgr.Device(name)

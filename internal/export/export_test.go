@@ -56,7 +56,6 @@ func TestMetricsPerDevice(t *testing.T) {
 		for _, metric := range []string{
 			"powersensor_board_watts", "powersensor_joules_total",
 			"powersensor_samples_total", "powersensor_resyncs_total",
-			"powersensor_dropped_deliveries_total",
 		} {
 			if !strings.Contains(body, metric+`{device="`+dev+`"} `) {
 				t.Errorf("missing %s for %s", metric, dev)
@@ -227,8 +226,6 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"# TYPE powersensor_marks_total counter",
 		"# HELP powersensor_resyncs_total Stream bytes skipped to regain protocol alignment.",
 		"# TYPE powersensor_resyncs_total counter",
-		"# HELP powersensor_dropped_deliveries_total Subscriber deliveries dropped on full fan-out channels.",
-		"# TYPE powersensor_dropped_deliveries_total counter",
 		"# HELP powersensor_ring_points Downsampled points currently buffered per station.",
 		"# TYPE powersensor_ring_points gauge",
 		"# HELP powersensor_device_virtual_seconds Virtual time of each station's clock, in seconds.",
@@ -386,10 +383,9 @@ func TestHealthAndIndex(t *testing.T) {
 // at 200, and an empty fleet is merely idle, not dead.
 func TestHealthzAllDown(t *testing.T) {
 	// A fleet whose only station's source never delivers: dropout with
-	// p=1 blacks out every window, so silence crosses StaleAfter and the
-	// station goes stale.
-	mgr, err := fleet.FromSpec("dead0=synth|dropout:1:10ms", 1,
-		fleet.Config{StaleAfter: 50 * time.Millisecond})
+	// p=1 blacks out every window, so 300 ms of silence crosses the
+	// watchdog's 250 ms stale deadline and the station goes stale.
+	mgr, err := fleet.FromSpec("dead0=synth|dropout:1:10ms", 1, fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,8 +488,8 @@ func TestScrapeUnderIngestLoad(t *testing.T) {
 					}
 				}
 				// 41 families × (HELP + TYPE).
-				if comments != 78 {
-					t.Errorf("scrape under load has %d comment lines, want 78", comments)
+				if comments != 76 {
+					t.Errorf("scrape under load has %d comment lines, want 76", comments)
 					return
 				}
 				m := regexp.MustCompile(`powersensor_samples_total\{device="s0"\} ([0-9]+)`).
@@ -800,8 +796,8 @@ func TestScrapeDuringChurn(t *testing.T) {
 						return
 					}
 				}
-				if comments != 78 {
-					t.Errorf("scrape during churn has %d comment lines, want 78", comments)
+				if comments != 76 {
+					t.Errorf("scrape during churn has %d comment lines, want 76", comments)
 					return
 				}
 				adopted := counter(body, "powersensor_fleet_adopted_total")
@@ -1026,8 +1022,8 @@ func TestScrapeDuringChurnFaulted(t *testing.T) {
 						return
 					}
 				}
-				if comments != 78 {
-					t.Errorf("faulted scrape has %d comment lines, want 78", comments)
+				if comments != 76 {
+					t.Errorf("faulted scrape has %d comment lines, want 76", comments)
 					return
 				}
 				for _, dev := range []string{"keep0", "keep1"} {
@@ -1080,8 +1076,7 @@ func TestScrapeDuringChurnFaulted(t *testing.T) {
 // One total-blackout station, no other activity: the only thing that
 // changes between the scrapes is its published health.
 func TestHealthTransitionInvalidatesCache(t *testing.T) {
-	mgr, err := fleet.FromSpec("dead0=synth|dropout:1:10ms", 1,
-		fleet.Config{StaleAfter: 50 * time.Millisecond})
+	mgr, err := fleet.FromSpec("dead0=synth|dropout:1:10ms", 1, fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1092,10 +1087,10 @@ func TestHealthTransitionInvalidatesCache(t *testing.T) {
 	mgr.StepAll(20 * time.Millisecond) // silent, but not yet stale
 	_, body := get(t, srv.URL+"/metrics")
 	if !strings.Contains(body, `powersensor_station_health{device="dead0"} 0`) {
-		t.Fatalf("station not healthy before StaleAfter:\n%s", grepLine(body, "station_health"))
+		t.Fatalf("station not healthy before the stale deadline:\n%s", grepLine(body, "station_health"))
 	}
 
-	mgr.StepAll(300 * time.Millisecond) // silence crosses StaleAfter
+	mgr.StepAll(300 * time.Millisecond) // silence crosses the 250 ms stale deadline
 	_, body = get(t, srv.URL+"/metrics")
 	if !strings.Contains(body, `powersensor_station_health{device="dead0"} 3`) {
 		t.Errorf("stale transition did not reach the cached exposition:\n%s",

@@ -1,10 +1,10 @@
 // Leaf-facing surface of the exporter: the versioned /api/fleet wire
-// format a federation head consumes (and its reflection-free encoder),
-// and the exposition helpers the head composes its own self families
-// with. The head renders each leaf's
-// stations through the same Renderer the exporter's shards use (see
-// segment.go), named for the leaf so every label block carries a leaf
-// label and duplicate station names across leaves stay distinct series.
+// format a federation head consumes, and its reflection-free encoder.
+// The head renders each leaf's stations through the same Renderer the
+// exporter's shards use (see segment.go), named for the leaf so every
+// label block carries a leaf label and duplicate station names across
+// leaves stay distinct series; it composes its own self families with
+// the exporter's Header, Escape, AppendSample and HistSeries.
 
 package export
 
@@ -14,7 +14,6 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/fleet"
-	"repro/internal/obs"
 )
 
 // FleetSchemaVersion is the wire-format version of the /api/fleet JSON
@@ -126,8 +125,6 @@ func AppendStatusFields(b []byte, s *fleet.Status) []byte {
 	b = strconv.AppendInt(b, int64(s.Resyncs), 10)
 	b = append(b, `,"overhead_seconds":`...)
 	b = appendJSONFloat(b, s.OverheadSeconds)
-	b = append(b, `,"dropped":`...)
-	b = strconv.AppendUint(b, s.Dropped, 10)
 	b = append(b, `,"ring_len":`...)
 	b = strconv.AppendInt(b, int64(s.RingLen), 10)
 	b = append(b, `,"ring_total":`...)
@@ -209,46 +206,4 @@ func AppendJSONString(b []byte, s string) []byte {
 	}
 	b = append(b, s[start:]...)
 	return append(b, '"')
-}
-
-// Header renders one family's HELP/TYPE comment block — the exported
-// form of the exposition skeleton helper, for consumers (the federation
-// head) composing their own families around the fleet ones.
-func Header(name, help, typ string) string { return header(name, help, typ) }
-
-// Escape escapes a label value per the exposition text format.
-func Escape(s string) string { return escapeLabel(s) }
-
-// AppendSample renders one exposition line — name, pre-rendered label
-// block, value, newline — appended into buf, with the integer fast path
-// of the exporter's own scrape renderer.
-func AppendSample(buf []byte, name, labels string, v float64) []byte {
-	return appendSample(buf, name, labels, v)
-}
-
-// HistSeries is a pre-rendered exposition histogram series: the family's
-// _bucket/_sum/_count names joined once, and a {le="..."} block per
-// bucket with any extra labels folded in. Build one per (family, label
-// set) at construction time; Append then renders the whole series from
-// cached strings and numbers.
-type HistSeries struct {
-	hs                             *histSeries
-	bucketName, sumName, countName string
-}
-
-// NewHistSeries pre-renders the series of family with the extra labels
-// given as a rendered `k="v"` fragment ("" for none).
-func NewHistSeries(family, extra string) *HistSeries {
-	return &HistSeries{
-		hs:         newHistSeries(extra),
-		bucketName: family + "_bucket",
-		sumName:    family + "_sum",
-		countName:  family + "_count",
-	}
-}
-
-// Append renders the histogram snapshot in exposition form: cumulative
-// _bucket lines, then _sum and _count.
-func (h *HistSeries) Append(buf []byte, snap *obs.HistSnapshot) []byte {
-	return appendHist(buf, h.bucketName, h.sumName, h.countName, h.hs, snap)
 }

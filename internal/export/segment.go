@@ -57,7 +57,7 @@ type Renderer struct {
 func NewRenderer(leaf string) *Renderer {
 	r := &Renderer{labels: make(map[string]*devLabels)}
 	if leaf != "" {
-		r.prefix = `leaf="` + escapeLabel(leaf) + `",`
+		r.prefix = `leaf="` + Escape(leaf) + `",`
 	}
 	return r
 }
@@ -71,14 +71,14 @@ func (r *Renderer) labelFor(s *fleet.Status) *devLabels {
 	if l, ok := r.labels[s.Name]; ok && l.matches(s) {
 		return l
 	}
-	name := escapeLabel(s.Name)
+	name := Escape(s.Name)
 	l := &devLabels{
 		backend:  s.Backend,
 		kind:     s.Kind,
 		channels: slices.Clone(s.Channels),
 		dev:      fmt.Sprintf(`{%sdevice="%s"}`, r.prefix, name),
 		info: fmt.Sprintf(`{%sdevice="%s",backend="%s",kind="%s"}`,
-			r.prefix, name, escapeLabel(s.Backend), escapeLabel(s.Kind)),
+			r.prefix, name, Escape(s.Backend), Escape(s.Kind)),
 	}
 	for m := 0; m < s.Pairs; m++ {
 		channel := fmt.Sprintf("pair%d", m)
@@ -86,7 +86,7 @@ func (r *Renderer) labelFor(s *fleet.Status) *devLabels {
 			channel = s.Channels[m]
 		}
 		l.pairs = append(l.pairs, fmt.Sprintf(`{%sdevice="%s",pair="%d",channel="%s"}`,
-			r.prefix, name, m, escapeLabel(channel)))
+			r.prefix, name, m, Escape(channel)))
 	}
 	r.labels[s.Name] = l
 	return l

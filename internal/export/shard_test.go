@@ -213,8 +213,8 @@ func TestScrapeChurn1k(t *testing.T) {
 				t.Fatalf("malformed sample line at 1k under churn: %q", line)
 			}
 		}
-		if comments != 78 {
-			t.Fatalf("1k churn scrape has %d comment lines, want 78", comments)
+		if comments != 76 {
+			t.Fatalf("1k churn scrape has %d comment lines, want 76", comments)
 		}
 		adopted := counter(body, "powersensor_fleet_adopted_total")
 		retired := counter(body, "powersensor_fleet_retired_total")

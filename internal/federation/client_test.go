@@ -96,7 +96,7 @@ func FuzzFleetCodec(f *testing.F) {
 				Name: name + fmt.Sprint(k), Kind: kind, Backend: ch + kind, RateHz: f2,
 				Pairs: pairs, Now: time.Duration(i), Watts: f1, Joules: f2 * f1,
 				State: name, Samples: u, Marks: u >> k, Resyncs: int(i >> k),
-				OverheadSeconds: -f1, Dropped: ^u, RingLen: int(i), RingTotal: u + 1,
+				OverheadSeconds: -f1, RingLen: int(i), RingTotal: u + 1,
 				Health: ch, Gaps: u * 3, Flatlines: u >> 1, SpikesQuarantined: 7, Restarts: u & 1,
 			}
 			if k > 0 { // the first station keeps nil slices
@@ -210,6 +210,40 @@ func TestDecodeFleetMatchesEncodingJSON(t *testing.T) {
 	}
 	if len(compact) >= len(legacy) {
 		t.Errorf("compact body %d bytes, indented %d", len(compact), len(legacy))
+	}
+}
+
+// TestDecodeOlderLeafDropped: an older leaf still sends a "dropped"
+// member (a subscriber fan-out counter the wire no longer carries) on
+// every station. The head skips it, so that body decodes and renders
+// exactly as the same body without it.
+func TestDecodeOlderLeafDropped(t *testing.T) {
+	gen, devs := liveFleet(t)
+	body := export.AppendFleetJSON(nil, gen, devs)
+	older := bytes.ReplaceAll(body, []byte(`,"ring_len":`), []byte(`,"dropped":12,"ring_len":`))
+	if n := bytes.Count(older, []byte(`"dropped":12`)); n != len(devs) {
+		t.Fatalf("older body carries %d dropped members, want %d", n, len(devs))
+	}
+	want, err := decodeFleet(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeFleet(older)
+	if err != nil {
+		t.Fatalf("older leaf body refused: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("older body decodes to\n%+v\nwant\n%+v", *got, *want)
+	}
+	render := func(devs []fleet.Status) []byte {
+		r := export.NewRenderer("old")
+		r.Render(devs)
+		segs := make([]export.Segment, 1)
+		r.CopySegment(&segs[0])
+		return export.AppendSegments(nil, segs)
+	}
+	if a, b := render(got.Devices), render(want.Devices); !bytes.Equal(a, b) {
+		t.Errorf("older body renders\n%s\nwant\n%s", a, b)
 	}
 }
 

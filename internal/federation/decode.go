@@ -183,8 +183,6 @@ func (d *fleetDecoder) statusMember(key []byte, s *fleet.Status) bool {
 		s.Resyncs = int(d.int())
 	case "overhead_seconds":
 		s.OverheadSeconds = d.float()
-	case "dropped":
-		s.Dropped = d.uint()
 	case "ring_len":
 		s.RingLen = int(d.int())
 	case "ring_total":

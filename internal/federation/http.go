@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/export"
 	"repro/internal/fleet"
-	"repro/internal/obs"
 	"repro/internal/version"
 )
 
@@ -68,7 +67,7 @@ func (h *Head) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", h.metrics)
 	mux.HandleFunc("GET /api/fleet", h.fleetJSON)
-	mux.HandleFunc("GET /api/events", h.eventsJSON)
+	mux.HandleFunc("GET /api/events", export.EventsHandler(h.events))
 	mux.HandleFunc("GET /api/device/{leaf}/{name}/energy", h.proxyDevice("energy"))
 	mux.HandleFunc("GET /api/device/{leaf}/{name}/trace", h.proxyDevice("trace"))
 	mux.HandleFunc("GET /api/device/{leaf}/{name}/history", h.proxyDevice("history"))
@@ -296,34 +295,6 @@ func (h *Head) healthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	fmt.Fprintf(w, "{\"leaves\":%d,\"up\":%d,\"stations\":%d,\"degraded\":%d}\n",
 		len(h.leaves), up, stations, degraded)
-}
-
-// eventsJSON serves the tail of the head's lifecycle event ring — same
-// shape as a leaf's /api/events, carrying leaf up/down and breaker
-// transitions instead of station lifecycle.
-func (h *Head) eventsJSON(w http.ResponseWriter, r *http.Request) {
-	max := 100
-	if s := r.URL.Query().Get("n"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			http.Error(w, fmt.Sprintf("bad n=%q (want a positive count)", s),
-				http.StatusBadRequest)
-			return
-		}
-		max = n
-	}
-	events := h.events.Tail(max)
-	if events == nil {
-		events = []obs.Event{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(struct {
-		Total   uint64      `json:"total"`
-		Dropped uint64      `json:"dropped"`
-		Events  []obs.Event `json:"events"`
-	}{h.events.Total(), h.events.Dropped(), events})
 }
 
 // proxyDevice returns a handler proxying one per-device drill-down

@@ -24,7 +24,7 @@ const (
 	devStarted
 	// devStopping: retirement begun; the last partial block is draining.
 	devStopping
-	// devClosed: drained; subscriptions closed, source released.
+	// devClosed: drained; source released.
 	devClosed
 )
 
@@ -89,11 +89,6 @@ type Status struct {
 	// the measured system. Zero for sources without overhead accounting
 	// (see source.Overheader); pipeline.RateLimit stages account it.
 	OverheadSeconds float64 `json:"overhead_seconds"`
-	// Dropped counts subscriber deliveries discarded because the target
-	// channel was full — one increment per slow subscriber per point, so
-	// with several lagging subscribers it exceeds the number of distinct
-	// points lost.
-	Dropped uint64 `json:"dropped"`
 	// RingLen and RingTotal describe the station's ring buffer: points
 	// currently held and points ever produced.
 	RingLen   int    `json:"ring_len"`
@@ -101,8 +96,8 @@ type Status struct {
 	// Health is the watchdog's verdict on the station's series:
 	// "healthy", "degraded" (open gap episode or recent spike
 	// quarantine), "flatlined" (a run of bit-identical totals far beyond
-	// the backend's noise floor) or "stale" (no samples for
-	// Config.StaleAfter, erroring reads, or a parked source). See
+	// the backend's noise floor) or "stale" (no samples for 250 ms of
+	// virtual time, erroring reads, or a parked source). See
 	// internal/fleet/health.go for the state machine and hysteresis.
 	Health string `json:"health"`
 	// Gaps and Flatlines count detected fault episodes (not samples):
@@ -134,7 +129,6 @@ type pub struct {
 	state     atomic.Int32 // devState
 	samples   atomic.Uint64
 	marks     atomic.Uint64
-	dropped   atomic.Uint64
 	nowNanos  atomic.Int64
 	joules    atomic.Uint64 // math.Float64bits
 	overhead  atomic.Int64  // cumulative sampling overhead, nanoseconds
@@ -184,7 +178,6 @@ type Device struct {
 	baseJ   float64 // cumulative joules at adoption, subtracted from Status
 	samples uint64
 	marks   uint64
-	dropped uint64
 	closed  bool
 
 	// In-flight downsample block: running sum/min/max of the summed power
@@ -210,9 +203,6 @@ type Device struct {
 	pendMarks [pendCap]int
 	pendWatts [pendCap * source.MaxChannels]float64
 
-	subs   map[int]chan Point
-	nextID int
-
 	// Fold-latency instrumentation: the manager's shared histogram plus
 	// this device's step counter selecting which steps get timed (see
 	// foldSampleEvery). Contention on the shared histogram is negligible —
@@ -226,16 +216,16 @@ type Device struct {
 	events *obs.EventRing
 
 	// Long-horizon history tier (see history.go in this package): the
-	// compressed series every flush appends to, nil when
-	// Config.HistoryBytes disables it. The query latency histogram is
-	// the manager's shared one, nil on directly constructed test devices.
+	// compressed series every flush appends to. The query latency
+	// histogram is the manager's shared one, nil on directly constructed
+	// test devices.
 	hist      *history.Series
 	histQuery *obs.Hist
 
 	pub pub
 }
 
-// newDevice adopts src. cfg.PointPeriod is the target time width of one
+// newDevice adopts src. cfg.pointPeriod is the target time width of one
 // ring point; the per-source block size is derived from it and the
 // source's native rate, so a 20 kHz sensor averages hundreds of samples
 // per point while a 10 Hz software meter contributes every sample it has.
@@ -250,7 +240,7 @@ func newDevice(name, kind string, src source.Source, cfg Config, foldHist *obs.H
 	// The device keeps its own copy of the channel labels: neither the
 	// source nor any Status consumer can mutate it from under the fleet.
 	meta.Channels = append([]string(nil), meta.Channels...)
-	block := int(math.Round(meta.RateHz * cfg.PointPeriod.Seconds()))
+	block := int(math.Round(meta.RateHz * cfg.pointPeriod().Seconds()))
 	if block < 1 {
 		block = 1
 	}
@@ -263,12 +253,13 @@ func newDevice(name, kind string, src source.Source, cfg Config, foldHist *obs.H
 		block:    block,
 		chans:    len(meta.Channels),
 		baseJ:    src.Joules(),
-		subs:     make(map[int]chan Point),
 		foldHist: foldHist,
 		events:   events,
 	}
 	d.ov, _ = src.(source.Overheader)
-	d.hist = newHistoryFor(cfg)
+	// A non-positive budget takes the history default, never the
+	// tier's unbounded mode.
+	d.hist = history.New(history.Config{MaxBytes: max(cfg.HistoryBytes, 0)})
 	d.initWatchdog(cfg)
 	if pool != nil {
 		// Expected samples per step, padded: sources may round a slice up
@@ -428,12 +419,11 @@ const pendCap = 8
 
 // emit closes the in-flight block: its means go to the staging area (and
 // to scratch, for publication at the end of the step), reaching the ring
-// in batched PushN flushes. Nothing here allocates or locks; fan-out to
-// subscribers happens at flush. Publication of the block averages is
-// likewise deferred to the end of the step — atomic stores are
-// sequentially-consistent exchanges on most architectures, too expensive
-// to pay per block when one refresh per step gives readers the same
-// freshness.
+// in batched PushN flushes. Nothing here allocates or locks. Publication
+// of the block averages is likewise deferred to the end of the step —
+// atomic stores are sequentially-consistent exchanges on most
+// architectures, too expensive to pay per block when one refresh per
+// step gives readers the same freshness.
 func (d *Device) emit(t time.Duration) {
 	inv := 1 / float64(d.accN)
 	mean := d.accSum * inv
@@ -462,12 +452,9 @@ func (d *Device) emit(t time.Duration) {
 }
 
 // flush moves the staged points into the ring and the history series,
-// one lock acquisition each, and fans them out to subscribers. Besides
-// a history block seal, fan-out is the only allocating path left in
-// ingest, and only when subscribers are attached: each delivered point
-// needs its own Watts copy, since ring slots and the staging area are
-// both recycled. Called with d.mu held, at staging capacity and at the
-// end of every step.
+// one lock acquisition each. A history block seal is the only
+// allocation on the ingest path. Called with d.mu held, at staging
+// capacity and at the end of every step.
 func (d *Device) flush() {
 	if d.pendN == 0 {
 		return
@@ -475,26 +462,8 @@ func (d *Device) flush() {
 	n := d.pendN
 	d.ring.PushN(d.pendTime[:n], d.pendWatts[:n*d.chans],
 		d.pendTotal[:n], d.pendMin[:n], d.pendMax[:n], d.pendMarks[:n])
-	if d.hist != nil {
-		d.hist.AppendN(d.pendTime[:n], d.pendTotal[:n])
-	}
+	d.hist.AppendN(d.pendTime[:n], d.pendTotal[:n])
 	d.ringTotal += uint64(n)
-	if len(d.subs) > 0 {
-		for i := 0; i < n; i++ {
-			watts := make([]float64, d.chans)
-			copy(watts, d.pendWatts[i*d.chans:(i+1)*d.chans])
-			p := Point{Time: d.pendTime[i], Watts: watts,
-				Total: d.pendTotal[i], Min: d.pendMin[i], Max: d.pendMax[i],
-				Marks: d.pendMarks[i]}
-			for _, ch := range d.subs {
-				select {
-				case ch <- p:
-				default:
-					d.dropped++
-				}
-			}
-		}
-	}
 	d.pendN = 0
 }
 
@@ -512,9 +481,6 @@ func (d *Device) publish() {
 	}
 	if d.ov != nil {
 		d.pub.overhead.Store(int64(d.ov.Overhead()))
-	}
-	if d.pub.dropped.Load() != d.dropped {
-		d.pub.dropped.Store(d.dropped)
 	}
 	if d.pub.marks.Load() != d.marks {
 		d.pub.marks.Store(d.marks)
@@ -643,7 +609,7 @@ func (d *Device) step(dt time.Duration) {
 	// Sustained silence from a restartable source is treated like a read
 	// error: kick a restart cycle. Sources that cannot restart just go
 	// stale; there is nothing to retry.
-	if w.emptyFor >= 2*w.staleAfter && w.backoffSteps == 0 && !w.parked && w.rst != nil {
+	if w.emptyFor >= 2*staleAfter && w.backoffSteps == 0 && !w.parked && w.rst != nil {
 		d.sourceFault()
 	}
 	d.refreshHealth()
@@ -683,7 +649,6 @@ func (d *Device) StatusInto(st *Status) {
 		Marks:             d.pub.marks.Load(),
 		Resyncs:           int(d.pub.resyncs.Load()),
 		OverheadSeconds:   time.Duration(d.pub.overhead.Load()).Seconds(),
-		Dropped:           d.pub.dropped.Load(),
 		RingLen:           int(d.pub.ringLen.Load()),
 		RingTotal:         d.pub.ringTotal.Load(),
 		Health:            healthName(d.pub.health.Load()),
@@ -697,44 +662,6 @@ func (d *Device) StatusInto(st *Status) {
 	}
 	st.PairWatts = pairWatts
 	st.Channels = append(channels, d.meta.Channels...)
-}
-
-// Subscribe registers a fan-out channel carrying every future ring point.
-// buffer is the channel depth; when the subscriber falls behind, points are
-// dropped (counted in Status.Dropped) rather than stalling ingest. The
-// returned cancel function unregisters and closes the channel; it is
-// idempotent and safe to call at any time, including after the device was
-// retired — retirement (Manager.Remove, Manager.Close) fans out the final
-// drain point and then closes every subscriber channel itself, and the
-// subs map is the single ownership record deciding which side closes, so
-// a cancel racing retirement never panics and never leaks a registration.
-// Subscribing to a closed device returns an already-closed channel. Points
-// are the subscribers' own: every fan-out point carries a fresh Watts
-// copy (ring slots are recycled in place and cannot be shared out), shared
-// only among the subscribers of that same point — treat it as read-only.
-func (d *Device) Subscribe(buffer int) (<-chan Point, func()) {
-	if buffer < 1 {
-		buffer = 1
-	}
-	ch := make(chan Point, buffer)
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		close(ch)
-		return ch, func() {}
-	}
-	id := d.nextID
-	d.nextID++
-	d.subs[id] = ch
-	d.mu.Unlock()
-	return ch, func() {
-		d.mu.Lock()
-		if _, ok := d.subs[id]; ok {
-			delete(d.subs, id)
-			close(ch)
-		}
-		d.mu.Unlock()
-	}
 }
 
 // Trace renders up to max of the most recent ring points as a trace.Trace,
@@ -762,16 +689,14 @@ func (d *Device) Trace(max int) *trace.Trace {
 }
 
 // close retires the device: the in-flight partial downsample block is
-// drained into the ring as one final short point (its mean covers however
-// many samples had accumulated), that point is flushed and fanned out to
-// subscribers, the final telemetry is published — then, and only then,
-// subscriber channels close and the source is released. The ordering is
-// the drain contract: a subscriber always receives every point the device
-// produced, including the drain point, before its channel closes; a
-// cancel racing close never double-closes a channel because the subs map
-// is the single ownership record for both. It reports whether this call
-// performed the close, so the manager logs exactly one close event per
-// station however many paths (Remove, Close, repeated Close) race here.
+// drained as one final short point (its mean covers however many samples
+// had accumulated), that point is flushed into the ring and the history
+// series, the final telemetry is published — then, and only then, the
+// source is released. The ordering is the drain contract: every sample
+// the device ingested reaches the ring and history before the source
+// goes. It reports whether this call performed the close, so the manager
+// logs exactly one close event per station however many paths (Remove,
+// Close, repeated Close) race here.
 func (d *Device) close() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -785,10 +710,6 @@ func (d *Device) close() bool {
 	d.flush()
 	d.publish()
 	d.closed = true
-	for id, ch := range d.subs {
-		delete(d.subs, id)
-		close(ch)
-	}
 	d.src.Close()
 	if d.pool != nil {
 		// Return the pooled memory for the next adoption. The ring

@@ -8,18 +8,20 @@
 // 20 kHz PowerSensor3 rigs next to 10 Hz NVML counters and 1 kHz RAPL
 // meters. Samples are downsampled on the fly into fixed-capacity ring
 // buffers (one per station), with block sizes derived from each source's
-// native rate so ring points cover comparable time windows, and fanned
-// out to subscribers; per-station health counters (stream resyncs,
-// dropped fan-out points) make a running fleet observable. Fleets are
+// native rate so ring points cover comparable time windows, and written
+// at the same step into a compressed long-horizon history series that
+// answers windowed energy queries; per-station health counters (stream
+// resyncs, watchdog episodes) make a running fleet observable. Fleets are
 // dynamic: stations hot-add against a running manager and retire from it
 // (Manager.Remove) without perturbing concurrent snapshots, scrapes or
 // surviving stations — each station walks an explicit lifecycle
 // (adopted → started → stopping → closed) whose retirement path drains
-// the in-flight downsample block before subscriptions close. The ingest
-// path is allocation-free in steady state: batches reuse caller-owned
-// columns, block accumulators are fixed-size, and ring points write into
-// a preallocated flat arena. internal/export serves the manager over
-// HTTP.
+// the in-flight downsample block into the ring and history before the
+// source is released. The ingest path is allocation-free in steady
+// state: batches reuse caller-owned columns, block accumulators are
+// fixed-size, ring points write into a preallocated flat arena, and
+// history allocates only when it seals a block. internal/export serves
+// the manager over HTTP.
 //
 // # Fault injection & station health
 //
@@ -52,7 +54,7 @@
 //	    │ flat run broken,                 ▼ blocks
 //	    ├───────────────────────────── flatlined
 //	    │     held for recovery
-//	    │                                  │ silence ≥ StaleAfter, or
+//	    │                                  │ silence ≥ 250 ms, or
 //	    │ samples flowing again,           ▼ read error / backoff / parked
 //	    └─────────────────────────────── stale
 //	          held for recovery

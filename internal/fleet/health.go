@@ -23,7 +23,7 @@
 //	    │ flat run broken,                 ▼ blocks
 //	    ├───────────────────────────── flatlined
 //	    │     held for recovery
-//	    │                                  │ silence ≥ StaleAfter, or
+//	    │                                  │ silence ≥ staleAfter, or
 //	    │ samples flowing again,           ▼ read error / backoff / parked
 //	    └─────────────────────────────── stale
 //	          held for recovery
@@ -51,7 +51,7 @@ const (
 	// bit-identical totals far longer than the backend's noise floor
 	// allows — a stuck register serving fake liveness.
 	HealthFlatlined = "flatlined"
-	// HealthStale: no samples at all for Config.StaleAfter, the source's
+	// HealthStale: no samples at all for staleAfter (250 ms), the source's
 	// reads are erroring, or the watchdog parked it — the series' newest
 	// point is history, not telemetry.
 	HealthStale = "stale"
@@ -144,14 +144,25 @@ const (
 	// must hold before the published health upgrades.
 	healthRecoverSteps = 8
 	// flatMinSamples is the fewest bit-identical consecutive samples a
-	// flatline episode needs, whatever FlatlineWindow says. A coarse
+	// flatline episode needs, whatever flatlineWindow says. A coarse
 	// quantised meter (RAPL at 100 Hz reads in 0.01 W steps) legitimately
 	// plateaus for tens of samples during steady workload phases; only a
 	// run long enough to be statistically impossible for live quantised
 	// readings is a stuck register. At 20 kHz this floor (13 block-20
-	// points) is far below the FlatlineWindow, so fast rigs keep their
+	// points) is far below the flatlineWindow, so fast rigs keep their
 	// time-based detection latency.
 	flatMinSamples = 256
+	// staleAfter is how long (virtual time) a station may deliver no
+	// samples at all before the watchdog declares it stale; twice this
+	// silence also triggers the restart-with-backoff path on restartable
+	// sources. 250 ms is generous against the slowest bundled meter
+	// (10 Hz NVML) yet fast against a wedged 20 kHz sensor.
+	staleAfter = 250 * time.Millisecond
+	// flatlineWindow is how much virtual time of bit-identical totals —
+	// at the station's native rate — flags a flatline: 50 ms is a
+	// thousand identical 20 kHz conversions, far beyond any real noise
+	// floor, while coarse slow meters get a 3-reading minimum instead.
+	flatlineWindow = 50 * time.Millisecond
 	// restartBudget bounds the restart-with-backoff path: after this many
 	// fault cycles without a clean delivering read, the source is parked.
 	restartBudget = 6
@@ -166,7 +177,6 @@ const (
 // allocation-free.
 type watchdog struct {
 	rateHz     float64
-	staleAfter time.Duration
 	gapAfter   float64       // gap-episode debt threshold, in samples
 	winDur     time.Duration // delivery-accounting window width
 	flatRunFor int           // identical blocks before a flatline episode
@@ -220,7 +230,6 @@ type watchdog struct {
 func (d *Device) initWatchdog(cfg Config) {
 	w := &d.wd
 	w.rateHz = d.meta.RateHz
-	w.staleAfter = cfg.StaleAfter
 	// One whole missing ring point is noise (resample lag, poll phase);
 	// two plus margin is a gap.
 	w.gapAfter = float64(2*d.block + 2)
@@ -234,7 +243,7 @@ func (d *Device) initWatchdog(cfg Config) {
 		}
 	}
 	w.winLeft = w.winDur
-	// Flatline threshold: identical blocks spanning FlatlineWindow of
+	// Flatline threshold: identical blocks spanning flatlineWindow of
 	// virtual time at the native rate, never fewer than 3 — two equal
 	// polls of a coarse meter are coincidence, not a fault — and never
 	// fewer than flatMinSamples samples, so a slow quantised meter's
@@ -242,7 +251,7 @@ func (d *Device) initWatchdog(cfg Config) {
 	blockDur := time.Duration(float64(d.block) / w.rateHz * float64(time.Second))
 	w.flatRunFor = 3
 	if blockDur > 0 {
-		if n := int(cfg.FlatlineWindow / blockDur); n > w.flatRunFor {
+		if n := int(flatlineWindow / blockDur); n > w.flatRunFor {
 			w.flatRunFor = n
 		}
 	}
@@ -426,7 +435,7 @@ func (d *Device) refreshHealth() {
 	w := &d.wd
 	var want int32
 	switch {
-	case w.parked || w.backoffSteps > 0 || w.emptyFor >= w.staleAfter:
+	case w.parked || w.backoffSteps > 0 || w.emptyFor >= staleAfter:
 		want = healthStale
 	case w.flatOpen:
 		want = healthFlatlined

@@ -120,7 +120,7 @@ func healthEvents(m *Manager, station string, typ string) []string {
 
 // TestHealthFlatlineAndRecovery: a stuck register serving fake liveness —
 // samples at rate, bit-identical values — must flatline within the
-// FlatlineWindow, and resume healthy once real variation returns.
+// flatlineWindow, and resume healthy once real variation returns.
 func TestHealthFlatlineAndRecovery(t *testing.T) {
 	src := &waveSource{flat: true}
 	m := NewManager(Config{})
@@ -130,7 +130,7 @@ func TestHealthFlatlineAndRecovery(t *testing.T) {
 	}
 	t.Cleanup(m.Close)
 
-	// Default FlatlineWindow 50 ms = 50 identical block-20 points.
+	// flatlineWindow 50 ms = 50 identical block-20 points.
 	m.StepAll(150 * time.Millisecond)
 	st := d.Status()
 	if st.Health != HealthFlatlined {
@@ -199,12 +199,12 @@ func TestHealthGapDegradedAndRecovery(t *testing.T) {
 	}
 }
 
-// TestHealthStaleOnSilence: silence past Config.StaleAfter marks the
-// station stale — its newest point is history, not telemetry — and a
+// TestHealthStaleOnSilence: silence past the 250 ms stale deadline marks
+// the station stale — its newest point is history, not telemetry — and a
 // non-restartable source just waits for samples to resume.
 func TestHealthStaleOnSilence(t *testing.T) {
 	src := &waveSource{}
-	m := NewManager(Config{StaleAfter: 20 * time.Millisecond})
+	m := NewManager(Config{})
 	d, err := m.Add("dev0", "wave", src)
 	if err != nil {
 		t.Fatal(err)
@@ -213,10 +213,13 @@ func TestHealthStaleOnSilence(t *testing.T) {
 
 	m.StepAll(100 * time.Millisecond)
 	src.mute = true
-	m.StepAll(50 * time.Millisecond)
+	m.StepAll(200 * time.Millisecond)
+	if st := d.Status(); st.Health == HealthStale {
+		t.Fatalf("health = %q after 200ms silence, before the 250ms deadline", st.Health)
+	}
+	m.StepAll(100 * time.Millisecond)
 	if st := d.Status(); st.Health != HealthStale {
-		t.Fatalf("health = %q after 50ms silence with StaleAfter=20ms, want %q",
-			st.Health, HealthStale)
+		t.Fatalf("health = %q after 300ms silence, want %q", st.Health, HealthStale)
 	}
 	src.mute = false
 	m.StepAll(300 * time.Millisecond)
@@ -473,15 +476,15 @@ func TestChurnFaulted(t *testing.T) {
 					t.Errorf("churn Add(%s): %v", name, err)
 					return
 				}
-				ch, cancel := d.Subscribe(8)
 				runtime.Gosched()
 				if err := m.Remove(name); err != nil {
 					t.Errorf("churn Remove(%s): %v", name, err)
 					return
 				}
-				for range ch {
+				if st := d.Status(); st.State != "closed" {
+					t.Errorf("churn %s: state %q after Remove, want closed", name, st.State)
+					return
 				}
-				cancel()
 				churns.Add(1)
 			}
 		}(g)

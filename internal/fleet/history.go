@@ -17,42 +17,19 @@ import (
 	"repro/internal/history"
 )
 
-// newHistoryFor builds a station's compressed history series from cfg;
-// nil when the tier is disabled (negative HistoryBytes).
-func newHistoryFor(cfg Config) *history.Series {
-	if cfg.HistoryBytes < 0 {
-		return nil
-	}
-	return history.New(history.Config{
-		MaxBytes: cfg.HistoryBytes,
-		Quantum:  cfg.HistoryQuantum,
-	})
-}
-
 // EnergyWindow returns the station's summed-power energy over the
 // virtual-time window [from, to], in joules: the windowed-query face of
 // the interval-read model (two Read calls bracketing a workload). The
 // answer includes every ring point produced by the last completed step.
 // Integration is trapezoidal with partial-interval clipping at both
 // edges; an empty or inverted window is exactly 0 J, never NaN — the
-// same zero-interval contract as pmt.Watts. Stations running without
-// the history tier fall back to integrating the ring's held points
-// directly.
+// same zero-interval contract as pmt.Watts.
 func (d *Device) EnergyWindow(from, to time.Duration) float64 {
 	if to <= from {
 		return 0
 	}
 	began := time.Now()
-	var j float64
-	if d.hist != nil {
-		j = d.hist.EnergyWindow(from, to)
-	} else {
-		pts := d.ring.Snapshot(0)
-		for i := 1; i < len(pts); i++ {
-			j += history.SegmentEnergy(pts[i-1].Time, pts[i-1].Total,
-				pts[i].Time, pts[i].Total, from, to)
-		}
-	}
+	j := d.hist.EnergyWindow(from, to)
 	if d.histQuery != nil {
 		d.histQuery.Record(time.Since(began))
 	}
@@ -61,36 +38,21 @@ func (d *Device) EnergyWindow(from, to time.Duration) float64 {
 
 // HistoryInto appends the station's stored history points with
 // timestamps in [from, to] to dst, oldest first — the decode path
-// long-range trace exports use. Stations running without the tier fall
-// back to the ring's held points.
+// long-range trace exports use.
 func (d *Device) HistoryInto(dst []history.Point, from, to time.Duration) []history.Point {
-	if d.hist == nil {
-		for _, p := range d.ring.Snapshot(0) {
-			if p.Time >= from && p.Time <= to {
-				dst = append(dst, history.Point{Time: p.Time, Watts: p.Total})
-			}
-		}
-		return dst
-	}
 	return d.hist.PointsInto(dst, from, to)
 }
 
 // HistoryBounds returns the timestamps of the oldest and newest history
 // points held, and whether any are held at all.
 func (d *Device) HistoryBounds() (first, last time.Duration, ok bool) {
-	if d.hist == nil {
-		return 0, 0, false
-	}
 	return d.hist.Bounds()
 }
 
 // HistoryStats returns the station's history-tier accounting from the
 // series' atomic counters, so it is safe per station per scrape without
-// locks. Zero on stations running without the tier.
+// locks.
 func (d *Device) HistoryStats() history.Stats {
-	if d.hist == nil {
-		return history.Stats{}
-	}
 	return d.hist.Stats()
 }
 

@@ -173,49 +173,24 @@ func TestHistorySurvivesChurn(t *testing.T) {
 
 // TestFleetEnergyWindowZeroIntervalContract propagates the pmt.Watts
 // zero-interval contract up through the fleet layer: empty and inverted
-// windows are exactly 0 J on devices and on the manager aggregate, with
-// or without the history tier.
+// windows are exactly 0 J on devices and on the manager aggregate.
 func TestFleetEnergyWindowZeroIntervalContract(t *testing.T) {
-	for _, cfg := range []Config{{}, {HistoryBytes: -1}} {
-		m := NewManager(cfg)
-		d, err := m.Add("z", "stub", &stubSource{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.StepAll(100 * time.Millisecond)
-		mid := 50 * time.Millisecond
-		if j := d.EnergyWindow(mid, mid); j != 0 {
-			t.Fatalf("empty window = %v J, want exactly 0", j)
-		}
-		if j := d.EnergyWindow(mid, mid-time.Millisecond); j != 0 {
-			t.Fatalf("inverted window = %v J, want exactly 0", j)
-		}
-		if j := m.EnergyWindow(mid, mid); j != 0 {
-			t.Fatalf("manager empty window = %v J, want exactly 0", j)
-		}
-		m.Close()
-	}
-}
-
-// TestHistoryDisabled pins the fallback: with the tier disabled the
-// station reports empty stats and EnergyWindow integrates the ring's
-// held points directly — same clipping, same zero-interval contract.
-func TestHistoryDisabled(t *testing.T) {
-	m := NewManager(Config{HistoryBytes: -1})
+	m := NewManager(Config{})
 	defer m.Close()
-	d, err := m.Add("bare", "stub", &stubSource{})
+	d, err := m.Add("z", "stub", &stubSource{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.StepAll(200 * time.Millisecond)
-	if hs := d.HistoryStats(); hs.Points != 0 || hs.Bytes != 0 {
-		t.Fatalf("disabled tier reports stats %+v", hs)
+	m.StepAll(100 * time.Millisecond)
+	mid := 50 * time.Millisecond
+	if j := d.EnergyWindow(mid, mid); j != 0 {
+		t.Fatalf("empty window = %v J, want exactly 0", j)
 	}
-	// 60 W flat from the stub: the ring fallback is exact over any
-	// window inside the held span.
-	got := d.EnergyWindow(50*time.Millisecond, 150*time.Millisecond)
-	if want := 6.0; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("ring-fallback EnergyWindow = %v J, want %v J", got, want)
+	if j := d.EnergyWindow(mid, mid-time.Millisecond); j != 0 {
+		t.Fatalf("inverted window = %v J, want exactly 0", j)
+	}
+	if j := m.EnergyWindow(mid, mid); j != 0 {
+		t.Fatalf("manager empty window = %v J, want exactly 0", j)
 	}
 }
 

@@ -1,9 +1,9 @@
 package fleet
 
 // Tests for the dynamic fleet lifecycle: hot add and remove against a
-// running manager, the retirement drain contract, subscription ordering
-// across retirement, marker survival through downsampling, and the churn
-// race net that hammers every lifecycle entry point at once under -race.
+// running manager, the retirement drain contract, marker survival
+// through downsampling, and the churn race net that hammers every
+// lifecycle entry point at once under -race.
 
 import (
 	"fmt"
@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/history"
 	"repro/internal/obs"
 )
 
@@ -108,8 +109,8 @@ func TestRemoveWhileRunning(t *testing.T) {
 
 // TestRemoveDrainsFinalBlock pins the drain contract: samples accumulated
 // in the in-flight downsample block when retirement begins reach the ring
-// as one final short point — and a subscriber receives every point,
-// including the drain point, before its channel closes.
+// and the history series as one final short point before the source is
+// released.
 func TestRemoveDrainsFinalBlock(t *testing.T) {
 	m := NewManager(Config{})
 	d, err := m.Add("dev0", "stub", &stubSource{})
@@ -117,8 +118,6 @@ func TestRemoveDrainsFinalBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	ch, cancel := d.Subscribe(64)
-	defer cancel()
 
 	// 25 samples at 20 kHz: one complete block-20 point plus 5 samples
 	// left in the in-flight accumulator.
@@ -135,8 +134,12 @@ func TestRemoveDrainsFinalBlock(t *testing.T) {
 	snap := d.Ring().Snapshot(0)
 	final := snap[len(snap)-1]
 	// The stub emits a constant 60 W, so the short block's mean is exact.
-	if final.Total != 60 {
-		t.Errorf("drain point total = %v W, want 60", final.Total)
+	if final.Total != 60 || final.Time != 25*stubPeriod {
+		t.Errorf("drain point = %+v, want total 60 at t=%v", final, 25*stubPeriod)
+	}
+	hist := d.HistoryInto(nil, 0, time.Hour)
+	if len(hist) != 2 || hist[1] != (history.Point{Time: 25 * stubPeriod, Watts: 60}) {
+		t.Errorf("history after remove = %+v, want 2 points ending at the drain point", hist)
 	}
 	// Published telemetry reflects the drain before the state flips.
 	st := d.Status()
@@ -144,54 +147,12 @@ func TestRemoveDrainsFinalBlock(t *testing.T) {
 		t.Errorf("post-drain status: state=%q ringTotal=%d samples=%d, want closed/2/25",
 			st.State, st.RingTotal, st.Samples)
 	}
-	// The subscriber sees both points, then the close.
-	var got []Point
-	for p := range ch {
-		got = append(got, p)
-	}
-	if len(got) != 2 {
-		t.Fatalf("subscriber received %d points, want 2 (incl. drain)", len(got))
-	}
-	if got[1].Total != 60 || got[1].Time != 25*stubPeriod {
-		t.Errorf("drain point = %+v, want total 60 at t=%v", got[1], 25*stubPeriod)
-	}
-}
-
-// TestSubscribeCancelAfterRetire pins the cancel-vs-close ordering:
-// cancelling after the device retired (which already closed the channel)
-// must be a silent no-op, never a double-close panic, and cancelling
-// twice is equally safe. Subscribing to a retired device yields an
-// already-closed channel.
-func TestSubscribeCancelAfterRetire(t *testing.T) {
-	m := NewManager(Config{})
-	d, err := m.Add("dev0", "stub", &stubSource{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	ch, cancel := d.Subscribe(4)
-	m.StepAll(5 * time.Millisecond)
-	if err := m.Remove("dev0"); err != nil {
-		t.Fatal(err)
-	}
-	// Retirement closed the channel; draining must terminate.
-	for range ch {
-	}
-	cancel() // after retirement: no panic, no double close
-	cancel() // idempotent
-
-	late, lateCancel := d.Subscribe(1)
-	if _, open := <-late; open {
-		t.Error("Subscribe after retirement delivered a point")
-	}
-	lateCancel()
 }
 
 // TestMarkerSurvivesDownsampling is the marker regression test: a single
 // marked sample in a 20 kHz stream must surface in its block's ring
-// point, in the fan-out copy of that point, in the device trace, and in
-// the station's marker counter — not be averaged away with the other 19
-// samples of the block.
+// point, in the device trace, and in the station's marker counter — not
+// be averaged away with the other 19 samples of the block.
 func TestMarkerSurvivesDownsampling(t *testing.T) {
 	m := NewManager(Config{})
 	// Mark sample 27: the 2nd block-20 point (samples 21..40) carries it.
@@ -200,8 +161,6 @@ func TestMarkerSurvivesDownsampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	ch, cancel := d.Subscribe(16)
-	defer cancel()
 	m.StepAll(5 * time.Millisecond) // 100 samples, 5 points
 
 	pts := d.Ring().Snapshot(0)
@@ -215,12 +174,6 @@ func TestMarkerSurvivesDownsampling(t *testing.T) {
 		}
 		if p.Marks != want {
 			t.Errorf("ring point %d: marks = %d, want %d", i, p.Marks, want)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		p := <-ch
-		if want := pts[i].Marks; p.Marks != want {
-			t.Errorf("fan-out point %d: marks = %d, want %d", i, p.Marks, want)
 		}
 	}
 	tr := d.Trace(0)
@@ -239,7 +192,7 @@ func TestMarkerSurvivesDownsampling(t *testing.T) {
 }
 
 // TestChurn is the lifecycle race net: goroutines hammer Add, Remove,
-// Snapshot, Subscribe and StepAll against a running manager. Run under
+// Snapshot and StepAll against a running manager. Run under
 // -race this is the memory-safety check; the final assertions verify no
 // station leaked or vanished and the churn counters balance.
 func TestChurn(t *testing.T) {
@@ -261,7 +214,7 @@ func TestChurn(t *testing.T) {
 	var churns atomic.Uint64
 
 	// Churners: each cycles its own private name through hot add,
-	// subscribe, remove, drain — the full lifecycle per iteration.
+	// remove and drain — the full lifecycle per iteration.
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -278,15 +231,15 @@ func TestChurn(t *testing.T) {
 					t.Errorf("churn Add(%s): %v", name, err)
 					return
 				}
-				ch, cancel := d.Subscribe(8)
 				runtime.Gosched()
 				if err := m.Remove(name); err != nil {
 					t.Errorf("churn Remove(%s): %v", name, err)
 					return
 				}
-				for range ch { // closed by retirement after the drain point
+				if st := d.Status(); st.State != "closed" {
+					t.Errorf("churn %s: state %q after Remove, want closed", name, st.State)
+					return
 				}
-				cancel() // cancel-after-retire must stay a no-op
 				churns.Add(1)
 			}
 		}(g)

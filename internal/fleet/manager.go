@@ -23,15 +23,11 @@ type Config struct {
 	// pre-sized for one slice stay slab-resident. Smaller slices reduce
 	// snapshot latency; larger ones amortise locking and pacing.
 	Slice time.Duration
-	// PointPeriod is the target time width of one downsampled ring
-	// point. Each station derives its own block size from it and its
+	// Block sets the time width of one downsampled ring point: Block
+	// sample sets at the PowerSensor3 base rate (20 → 1 ms points). Each
+	// station derives its own block size from that period and its
 	// source's native rate, clamped to at least one sample — so slow
 	// software meters keep every sample while a 20 kHz sensor averages.
-	// Zero derives the period from Block.
-	PointPeriod time.Duration
-	// Block is the legacy downsample knob: sample sets per ring point,
-	// interpreted at the PowerSensor3 base rate (20 → 1 ms points). It
-	// is only consulted when PointPeriod is zero.
 	Block int
 	// RingCap is the per-station ring capacity in points.
 	RingCap int
@@ -51,26 +47,11 @@ type Config struct {
 	// clamped to [1, MaxShards]. Shards=1 recovers the unsharded
 	// behaviour exactly (one list, one generation, serial stepping).
 	Shards int
-	// StaleAfter is how long (virtual time) a station may deliver no
-	// samples at all before the watchdog declares it stale; twice this
-	// silence also triggers the restart-with-backoff path on restartable
-	// sources. Zero means 250 ms — generous against the slowest bundled
-	// meter (10 Hz NVML) yet fast against a wedged 20 kHz sensor.
-	StaleAfter time.Duration
-	// FlatlineWindow is how much virtual time of bit-identical totals —
-	// at the station's native rate — flags a flatline. Zero means 50 ms:
-	// a thousand identical 20 kHz conversions, far beyond any real noise
-	// floor, while coarse slow meters get a 3-reading minimum instead.
-	FlatlineWindow time.Duration
 	// HistoryBytes bounds each station's compressed long-horizon history
 	// series (internal/history), appended to at every ingest flush and
-	// queried by EnergyWindow. Zero means the history default
-	// (1 MiB per station); negative disables the tier, leaving queries
-	// to the ring's held points only.
+	// queried by EnergyWindow. Zero or negative means the history
+	// default (1 MiB per station).
 	HistoryBytes int
-	// HistoryQuantum is the history tier's value quantum in watts. Zero
-	// means the history default (~1 mW); negative stores lossless.
-	HistoryQuantum float64
 }
 
 func (c Config) withDefaults() Config {
@@ -79,10 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Block <= 0 {
 		c.Block = 20
-	}
-	if c.PointPeriod <= 0 {
-		c.PointPeriod = time.Duration(float64(c.Block) *
-			float64(time.Second) / protocol.SampleRateHz)
 	}
 	if c.RingCap <= 0 {
 		c.RingCap = 4096
@@ -99,13 +76,13 @@ func (c Config) withDefaults() Config {
 	if c.Shards > MaxShards {
 		c.Shards = MaxShards
 	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 250 * time.Millisecond
-	}
-	if c.FlatlineWindow <= 0 {
-		c.FlatlineWindow = 50 * time.Millisecond
-	}
 	return c
+}
+
+// pointPeriod is the target time width of one downsampled ring point:
+// Block sample sets at the PowerSensor3 base rate.
+func (c Config) pointPeriod() time.Duration {
+	return time.Duration(float64(c.Block) * float64(time.Second) / protocol.SampleRateHz)
 }
 
 // stepParallelMin is the fleet size below which stepQuantum stays serial:
@@ -119,8 +96,8 @@ const stepParallelMin = 64
 // fully dynamic: Add adopts a station at any time — before Start, or
 // against a running manager, which steps it from the next quantum — and
 // Remove retires one at any time, draining its final downsample block
-// into the ring and closing its subscriptions. Snapshots, subscriptions
-// and traces are safe at any time from any goroutine, concurrently with churn.
+// into the ring and history. Snapshots, traces and energy queries are
+// safe at any time from any goroutine, concurrently with churn.
 //
 // The fleet is partitioned into Config.Shards fixed shards by a hash of
 // the station name. Each shard publishes its own copy-on-write device
@@ -265,12 +242,11 @@ func (m *Manager) Add(name, kind string, src source.Source) (*Device, error) {
 // shard's list is the commit point — concurrent Snapshot, scrape and
 // StepAll callers stop seeing the station the moment it lands — after
 // which Remove waits out any in-flight step of the station, drains the
-// in-flight downsample block into the ring as a final short point, fans
-// that point out, closes every subscription, releases the source and
-// returns the station's pooled memory to its shard. Safe to call from
-// any goroutine, concurrently with Add, Stop, snapshots and
-// subscriptions; removing an unknown (or already removed) station
-// returns an error.
+// in-flight downsample block into the ring and history as a final short
+// point, releases the source and returns the station's pooled memory to
+// its shard. Safe to call from any goroutine, concurrently with Add,
+// Stop, snapshots and queries; removing an unknown (or already removed)
+// station returns an error.
 func (m *Manager) Remove(name string) error {
 	m.mu.Lock()
 	d := m.byName[name]

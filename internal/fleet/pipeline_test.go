@@ -76,7 +76,7 @@ func TestMarkerSurvivesResampleAndDownsampling(t *testing.T) {
 	// (t = 2 ms); block-2 downsampling folds derived samples 1..2 into
 	// ring point 0.
 	src := pipeline.Chain(&stubSource{markAt: 27}, pipeline.Resample(1000))
-	m := NewManager(Config{PointPeriod: 2 * time.Millisecond})
+	m := NewManager(Config{Block: 40}) // 2 ms ring points
 	d, err := m.Add("dev0", "stub|resample", src)
 	if err != nil {
 		t.Fatal(err)

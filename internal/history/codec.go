@@ -58,13 +58,20 @@ func (w *bitWriter) writeBit(b uint64) { w.writeBits(b, 1) }
 
 // bitReader consumes MSB-first bit strings from a byte buffer. Callers
 // bound reads by the encoded point count, never by buffer exhaustion, so
-// trailing pad bits in the final byte are never misread as data.
+// trailing pad bits in the final byte are never misread as data. A read
+// past the end of buf, which only a truncated or corrupt block asks
+// for, returns 0 and sets short instead of indexing out of range.
 type bitReader struct {
-	buf []byte
-	pos uint // absolute bit cursor
+	buf   []byte
+	pos   uint // absolute bit cursor
+	short bool // a read ran past the end of buf
 }
 
 func (r *bitReader) readBits(n uint) uint64 {
+	if r.pos+n > uint(len(r.buf))*8 {
+		r.short = true
+		return 0
+	}
 	var v uint64
 	for n > 0 {
 		b := r.buf[r.pos>>3]
@@ -158,7 +165,9 @@ func (h *headState) writeValue(vb uint64) {
 // blockIter decodes one block's points in order, the active head block
 // included (its bit buffer reads the same way; the point count bounds
 // the iteration). The bits must not change while it runs: a sealed
-// block's never do, and queries iterate the head over a copy.
+// block's never do, and queries iterate the head over a copy. A block
+// whose bits run out before its count, or that declares a value window
+// wider than 64 bits, ends the iteration at the first bad point.
 type blockIter struct {
 	r           bitReader
 	count       int
@@ -190,11 +199,19 @@ func (it *blockIter) next() (time.Duration, float64, bool) {
 	it.t += time.Duration(it.prevDelta)
 	if it.r.readBit() == 1 {
 		if it.r.readBit() == 1 {
-			it.lead = uint(it.r.readBits(5))
+			lead := uint(it.r.readBits(5))
 			sig := uint(it.r.readBits(6)) + 1
-			it.trail = 64 - it.lead - sig
+			if lead+sig > 64 {
+				it.i = it.count
+				return 0, 0, false
+			}
+			it.lead, it.trail = lead, 64-lead-sig
 		}
 		it.vBits ^= it.r.readBits(64-it.lead-it.trail) << it.trail
+	}
+	if it.r.short {
+		it.i = it.count
+		return 0, 0, false
 	}
 	it.i++
 	return it.t, math.Float64frombits(it.vBits), true

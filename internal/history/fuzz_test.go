@@ -140,3 +140,68 @@ func FuzzHistoryAppend(f *testing.F) {
 		}
 	})
 }
+
+// decodeBlock returns every point iterating b yields, and fails the test
+// if the iteration yields more points than b declares.
+func decodeBlock(t *testing.T, b *block) []Point {
+	var out []Point
+	it := b.iter()
+	for {
+		tm, w, ok := it.next()
+		if !ok {
+			break
+		}
+		out = append(out, Point{Time: tm, Watts: w})
+		if len(out) > b.count {
+			t.Fatalf("block of %d points decoded more", b.count)
+		}
+	}
+	return out
+}
+
+// FuzzHistoryDecode feeds raw block bytes and point counts to the
+// decoder: a truncated or corrupt block must end iteration, never panic
+// or read past its bytes. Decoding a truncated copy yields a prefix of
+// the full decode, and the window queries over the corrupt block
+// terminate.
+func FuzzHistoryDecode(f *testing.F) {
+	s := New(Config{BlockPoints: 16, Quantum: -1})
+	for i := 0; i < 16; i++ {
+		s.Append(time.Duration(i)*time.Millisecond+time.Duration(i*i)*time.Microsecond, 40+float64(i%5)*1.37)
+	}
+	valid := s.blocks[0]
+	f.Add(valid.bits, uint16(valid.count), uint16(len(valid.bits)/2))
+	f.Add(valid.bits[:3], uint16(valid.count), uint16(1))
+	// Second point declares a 31-bit lead and a 64-bit window.
+	f.Add([]byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint16(2), uint16(0))
+	f.Add([]byte{}, uint16(5), uint16(0))
+	f.Fuzz(func(t *testing.T, bits []byte, count, cut uint16) {
+		b := block{count: int(count), t0: time.Second, v0Bits: math.Float64bits(40), bits: bits}
+		full := decodeBlock(t, &b)
+		if count > 0 && len(full) == 0 {
+			t.Fatal("first point, which needs no bits, was not decoded")
+		}
+		if len(bits) > 0 {
+			tb := b
+			tb.bits = bits[:int(cut)%len(bits)]
+			part := decodeBlock(t, &tb)
+			if len(part) > len(full) {
+				t.Fatalf("truncated block decoded %d points, whole block %d", len(part), len(full))
+			}
+			for i := range part {
+				if part[i].Time != full[i].Time || math.Float64bits(part[i].Watts) != math.Float64bits(full[i].Watts) {
+					t.Fatalf("point %d: truncated %+v, whole %+v", i, part[i], full[i])
+				}
+			}
+		}
+		b.tLast = 2 * time.Second
+		for _, w := range [][2]time.Duration{
+			{time.Second + time.Millisecond, 3 * time.Second},
+			{0, time.Second + time.Millisecond},
+		} {
+			q := windowQuery{from: w[0], to: w[1]}
+			_ = q.cutEnergy(&b)
+			_ = appendWindow(nil, &b, w[0], w[1])
+		}
+	})
+}

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// SegmentEnergy returns the energy, in joules, of the linear power
+// segmentEnergy returns the energy, in joules, of the linear power
 // segment from (t0, w0) to (t1, w1) clipped to the window [from, to]:
 // the clipped sub-interval's endpoint powers are linearly interpolated
 // and trapezoid-integrated. A window edge falling strictly inside the
@@ -16,7 +16,7 @@ import (
 // the nearer stored point. Degenerate inputs (t1 <= t0, to <= from, or
 // no overlap) contribute exactly 0 J, never NaN: the zero-interval
 // contract shared with pmt.Watts.
-func SegmentEnergy(t0 time.Duration, w0 float64, t1 time.Duration, w1 float64, from, to time.Duration) float64 {
+func segmentEnergy(t0 time.Duration, w0 float64, t1 time.Duration, w1 float64, from, to time.Duration) float64 {
 	if t1 <= t0 || to <= from {
 		return 0
 	}
@@ -39,13 +39,12 @@ func SegmentEnergy(t0 time.Duration, w0 float64, t1 time.Duration, w1 float64, f
 
 // Integrate trapezoid-integrates a raw sampled power series over
 // [from, to] with the same edge-clipping semantics as EnergyWindow —
-// the reference integrator the history tier is tested against, and the
-// fallback fleets use when a station runs without a history series.
-// times must be ascending; len(watts) must equal len(times).
+// the reference integrator the history tier is tested against. times
+// must be ascending; len(watts) must equal len(times).
 func Integrate(times []time.Duration, watts []float64, from, to time.Duration) float64 {
 	var j float64
 	for i := 1; i < len(times); i++ {
-		j += SegmentEnergy(times[i-1], watts[i-1], times[i], watts[i], from, to)
+		j += segmentEnergy(times[i-1], watts[i-1], times[i], watts[i], from, to)
 	}
 	return j
 }
@@ -131,7 +130,7 @@ type windowQuery struct {
 
 func (q *windowQuery) bridge(t time.Duration, w float64) {
 	if q.havePrev {
-		q.joules += SegmentEnergy(q.prevT, q.prevW, t, w, q.from, q.to)
+		q.joules += segmentEnergy(q.prevT, q.prevW, t, w, q.from, q.to)
 	}
 	q.havePrev, q.prevT, q.prevW = true, t, w
 }
@@ -168,8 +167,11 @@ func (q *windowQuery) cutEnergy(b *block) float64 {
 	if q.from > b.t0 && q.to >= b.tLast {
 		var prefix float64
 		for pt < q.from {
-			t, w, _ := it.next()
-			prefix += SegmentEnergy(pt, pw, t, w, b.t0, q.from)
+			t, w, ok := it.next()
+			if !ok {
+				break
+			}
+			prefix += segmentEnergy(pt, pw, t, w, b.t0, q.from)
 			pt, pw = t, w
 		}
 		return b.sumJ - prefix
@@ -180,7 +182,7 @@ func (q *windowQuery) cutEnergy(b *block) float64 {
 		if !ok {
 			break
 		}
-		j += SegmentEnergy(pt, pw, t, w, q.from, q.to)
+		j += segmentEnergy(pt, pw, t, w, q.from, q.to)
 		pt, pw = t, w
 	}
 	return j
