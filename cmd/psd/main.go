@@ -60,10 +60,10 @@
 //	             from that window and its source's native rate
 //	-ring        per-station ring capacity, in downsampled points
 //	-shards      fleet shard count (1–64; default 8). Stations hash to shards
-//	             by name; each shard keeps its own device list, memory pool
-//	             and cached /metrics exposition segment, so churn and
-//	             downsample-block activity on one station invalidate 1/Nth
-//	             of the scrape instead of all of it. The shard count is also
+//	             by name; each shard keeps its own device list and cached
+//	             /metrics exposition segment, so churn and downsample-block
+//	             activity on one station invalidate 1/Nth of the scrape
+//	             instead of all of it. The shard count is also
 //	             the stepping parallelism: a fleet of 64 or more stations is
 //	             stepped by one persistent worker per shard, smaller fleets
 //	             serially. -shards 1 recovers the unsharded, serially stepped

@@ -148,9 +148,6 @@
 //	   ├─ step worker   each quantum of Start's pacer or StepAll fans
 //	   │                out to one persistent goroutine per shard;
 //	   │                zero allocations per step
-//	   ├─ memory pool   ring arenas and batch columns recycle through
-//	   │                shard-local free lists, so stations adopted
-//	   │                together stay adjacent in memory
 //	   └─ render cache  the exporter caches one exposition segment per
 //	                    shard, keyed by Manager.ShardGen — a busy
 //	                    station re-renders only its own shard's

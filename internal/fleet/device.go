@@ -162,13 +162,6 @@ type Device struct {
 	meta source.Meta // Channels is the device's own immutable copy
 	ring *Ring
 
-	// pool is the home shard's memory pool, nil when the device was built
-	// without one (direct construction in tests). Pooled devices carve
-	// their ring backing and batch columns from the shard's slabs at
-	// adoption and return them at close, so stations stepped together sit
-	// adjacent in memory and a churny fleet recycles instead of growing.
-	pool *memPool
-
 	mu      sync.Mutex
 	src     source.Source
 	ov      source.Overheader // src's overhead accounting, nil without one
@@ -211,14 +204,13 @@ type Device struct {
 	stepN    uint64
 
 	// Health watchdog state (see health.go) and the fleet event ring its
-	// transitions append to — nil for directly constructed test devices.
+	// transitions append to.
 	wd     watchdog
 	events *obs.EventRing
 
 	// Long-horizon history tier (see history.go in this package): the
 	// compressed series every flush appends to. The query latency
-	// histogram is the manager's shared one, nil on directly constructed
-	// test devices.
+	// histogram is the manager's shared one.
 	hist      *history.Series
 	histQuery *obs.Hist
 
@@ -229,13 +221,11 @@ type Device struct {
 // ring point; the per-source block size is derived from it and the
 // source's native rate, so a 20 kHz sensor averages hundreds of samples
 // per point while a 10 Hz software meter contributes every sample it has.
-// When pool is non-nil the ring backing and batch columns are carved from
-// it — the shard-local slabs that keep co-stepped stations adjacent in
-// memory — with the batch pre-sized for the samples one slice of virtual
-// time produces at the source's native rate. events receives the health
-// watchdog's transition events; nil (direct test construction) drops
-// them.
-func newDevice(name, kind string, src source.Source, cfg Config, foldHist *obs.Hist, pool *memPool, events *obs.EventRing) *Device {
+// The batch columns are pre-sized for the samples one slice of virtual
+// time produces at the source's native rate. foldHist and histQuery are
+// the manager's fold and history-query histograms; events receives the
+// health watchdog's transition events.
+func newDevice(name, kind string, src source.Source, cfg Config, foldHist, histQuery *obs.Hist, events *obs.EventRing) *Device {
 	meta := src.Meta()
 	// The device keeps its own copy of the channel labels: neither the
 	// source nor any Status consumer can mutate it from under the fleet.
@@ -245,36 +235,31 @@ func newDevice(name, kind string, src source.Source, cfg Config, foldHist *obs.H
 		block = 1
 	}
 	d := &Device{
-		name:     name,
-		kind:     kind,
-		meta:     meta,
-		pool:     pool,
-		src:      src,
-		block:    block,
-		chans:    len(meta.Channels),
-		baseJ:    src.Joules(),
-		foldHist: foldHist,
-		events:   events,
+		name:      name,
+		kind:      kind,
+		meta:      meta,
+		ring:      NewRing(cfg.RingCap, len(meta.Channels)),
+		src:       src,
+		block:     block,
+		chans:     len(meta.Channels),
+		baseJ:     src.Joules(),
+		foldHist:  foldHist,
+		events:    events,
+		histQuery: histQuery,
 	}
 	d.ov, _ = src.(source.Overheader)
 	// A non-positive budget takes the history default, never the
 	// tier's unbounded mode.
 	d.hist = history.New(history.Config{MaxBytes: max(cfg.HistoryBytes, 0)})
 	d.initWatchdog(cfg)
-	if pool != nil {
-		// Expected samples per step, padded: sources may round a slice up
-		// to whole sample periods, and a small margin keeps one extra
-		// sample from pushing the columns off-slab.
-		batchSamples := int(math.Ceil(meta.RateHz*cfg.Slice.Seconds())) + 8
-		mem := pool.grab(cfg.RingCap, d.chans, batchSamples)
-		d.ring = newRingWith(cfg.RingCap, d.chans, mem.ringBuf, mem.ringArena)
-		d.batch.Time = mem.batchTime[:0]
-		d.batch.Chans = mem.batchChans[:0]
-		d.batch.Total = mem.batchTotal[:0]
-		d.batch.Marks = mem.batchMarks[:0]
-	} else {
-		d.ring = NewRing(cfg.RingCap, d.chans)
-	}
+	// Expected samples per step, padded: sources may round a slice up to
+	// whole sample periods, and a small margin keeps one extra sample
+	// from regrowing the columns.
+	n := int(math.Ceil(meta.RateHz*cfg.Slice.Seconds())) + 8
+	d.batch.Time = make([]time.Duration, 0, n)
+	d.batch.Chans = make([]float64, 0, n*max(d.chans, 1))
+	d.batch.Total = make([]float64, 0, n)
+	d.batch.Marks = make([]int, 0, 16)
 	d.pub.nowNanos.Store(int64(src.Now()))
 	d.pub.resyncs.Store(int64(src.Resyncs()))
 	return d
@@ -711,23 +696,6 @@ func (d *Device) close() bool {
 	d.publish()
 	d.closed = true
 	d.src.Close()
-	if d.pool != nil {
-		// Return the pooled memory for the next adoption. The ring
-		// detaches onto a compact self-owned copy first, so callers still
-		// holding the device keep reading the drained points; the batch
-		// columns are dead the moment closed is set (step checks it under
-		// d.mu, which we hold).
-		buf, arena := d.ring.detach()
-		d.pool.release(devMem{
-			ringBuf:    buf,
-			ringArena:  arena,
-			batchTime:  d.batch.Time,
-			batchChans: d.batch.Chans,
-			batchTotal: d.batch.Total,
-			batchMarks: d.batch.Marks,
-		})
-		d.batch = source.Batch{}
-	}
 	d.pub.state.Store(int32(devClosed))
 	return true
 }

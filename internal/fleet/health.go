@@ -267,11 +267,8 @@ func (d *Device) initWatchdog(cfg Config) {
 }
 
 // healthEvent appends a watchdog event to the fleet's lifecycle ring.
-// Nil-safe for directly constructed test devices.
 func (d *Device) healthEvent(typ, reason string) {
-	if d.events != nil {
-		d.events.Append(typ, d.name, d.kind, reason)
-	}
+	d.events.Append(typ, d.name, d.kind, reason)
 }
 
 // despike is the spike quarantine gate, run over a batch's totals before

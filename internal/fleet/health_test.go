@@ -580,3 +580,30 @@ func TestChurnFaulted(t *testing.T) {
 		t.Error("no gap episodes across a faulted churn run — the watchdog slept through it")
 	}
 }
+
+// TestHealthyRAPLNeverFlatlines: over ten virtual seconds the RAPL
+// meters of psd's default fleet (cpu0 sits at spec index 5, which @5
+// pins, so these are the same stations) must never flatline: their
+// counter-delta readings carry the CPU model's ripple through steady
+// utilisation plateaus longer than flatMinSamples. A stuck RAPL station
+// beside them must still flatline: the ripple hides no real fault.
+func TestHealthyRAPLNeverFlatlines(t *testing.T) {
+	const spec = "cpu0=rapl@5,cpu0lim=rapl@5|ratelimit:100,cpustuck=rapl@5|stuck:1:1s"
+	for seed := uint64(1); seed <= 4; seed++ {
+		m, err := FromSpec(spec, seed, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.StepAll(10 * time.Second)
+		for _, st := range m.Snapshot() {
+			switch {
+			case st.Name == "cpustuck" && st.Flatlines == 0:
+				t.Errorf("seed %d: stuck RAPL station never flatlined", seed)
+			case st.Name != "cpustuck" && st.Flatlines != 0:
+				t.Errorf("seed %d: healthy station %s flatlined %d times",
+					seed, st.Name, st.Flatlines)
+			}
+		}
+		m.Close()
+	}
+}

@@ -30,9 +30,7 @@ func (d *Device) EnergyWindow(from, to time.Duration) float64 {
 	}
 	began := time.Now()
 	j := d.hist.EnergyWindow(from, to)
-	if d.histQuery != nil {
-		d.histQuery.Record(time.Since(began))
-	}
+	d.histQuery.Record(time.Since(began))
 	return j
 }
 

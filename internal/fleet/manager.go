@@ -20,7 +20,7 @@ type Config struct {
 	// Slice is the virtual-time quantum the fleet advances per step:
 	// Start's pacer steps every station by one Slice per quantum, and
 	// StepAll splits larger steps into Slice quanta, so batch columns
-	// pre-sized for one slice stay slab-resident. Smaller slices reduce
+	// pre-sized for one slice never regrow. Smaller slices reduce
 	// snapshot latency; larger ones amortise locking and pacing.
 	Slice time.Duration
 	// Block sets the time width of one downsampled ring point: Block
@@ -42,7 +42,7 @@ type Config struct {
 	// Shards is the number of fixed partitions the fleet is split into.
 	// Each station hashes to a shard by name; each shard owns its own
 	// copy-on-write device list, churn counters, render generation and
-	// memory pool, so churn, stepping, snapshots and scrape rendering
+	// step worker, so churn, stepping, snapshots and scrape rendering
 	// contend per shard instead of fleet-wide. Zero means 8; values are
 	// clamped to [1, MaxShards]. Shards=1 recovers the unsharded
 	// behaviour exactly (one list, one generation, serial stepping).
@@ -110,11 +110,6 @@ const stepParallelMin = 64
 // slice may briefly step or snapshot a retiring device; both are
 // harmless, because a retired device's step is a no-op and its last
 // published telemetry stays readable.
-//
-// Sharding also partitions memory: each shard pools ring arenas and
-// batch columns in shard-local slabs, so the stations a shard's step
-// worker advances back-to-back sit adjacent in memory instead of
-// scattered across the heap.
 type Manager struct {
 	cfg    Config
 	shards []shard
@@ -221,8 +216,7 @@ func (m *Manager) Add(name, kind string, src source.Source) (*Device, error) {
 	}
 	s := shardOf(name, len(m.shards))
 	sh := &m.shards[s]
-	d := newDevice(name, kind, src, m.cfg, m.foldHist.Stripe(s), &sh.pool, m.events)
-	d.histQuery = &m.histQueryHist
+	d := newDevice(name, kind, src, m.cfg, m.foldHist.Stripe(s), &m.histQueryHist, m.events)
 	old := sh.list()
 	at := sort.Search(len(old), func(i int) bool { return old[i].name > name })
 	next := slices.Insert(slices.Clip(old), at, d) // a copy: readers hold old
@@ -243,10 +237,10 @@ func (m *Manager) Add(name, kind string, src source.Source) (*Device, error) {
 // StepAll callers stop seeing the station the moment it lands — after
 // which Remove waits out any in-flight step of the station, drains the
 // in-flight downsample block into the ring and history as a final short
-// point, releases the source and returns the station's pooled memory to
-// its shard. Safe to call from any goroutine, concurrently with Add,
-// Stop, snapshots and queries; removing an unknown (or already removed)
-// station returns an error.
+// point and releases the source; the station's ring stays readable to
+// callers still holding the device. Safe to call from any goroutine,
+// concurrently with Add, Stop, snapshots and queries; removing an
+// unknown (or already removed) station returns an error.
 func (m *Manager) Remove(name string) error {
 	m.mu.Lock()
 	d := m.byName[name]
@@ -389,9 +383,9 @@ func (m *Manager) HealthCounts() (stations, degraded, down int) {
 
 // RingOccupancy sums ring fill across the fleet: points currently held
 // in every station's ring and the total capacity. Like Snapshot it reads
-// only atomically published cells — no manager lock, no ingest mutexes —
-// so it is safe on every scrape even when the body cache skips the full
-// snapshot.
+// only atomically published cells and each ring's fixed capacity — no
+// manager lock, no ingest or ring mutexes — so it is safe on every scrape
+// even when the body cache skips the full snapshot.
 func (m *Manager) RingOccupancy() (held, capacity int) {
 	for s := range m.shards {
 		for _, d := range m.shards[s].list() {
@@ -533,7 +527,7 @@ func (m *Manager) Stop() {
 // StepAll synchronously advances every station by d of virtual time —
 // deterministic semantics for tests, benchmarks and one-shot tools — in
 // the Config.Slice quanta Start's pacer steps, which keeps batch columns
-// inside their pre-sized slabs on warmup bursts. Safe to call while
+// within their pre-sized capacity on warmup bursts. Safe to call while
 // Started (quanta interleave with the pacer's), though deterministic
 // only when stopped.
 func (m *Manager) StepAll(d time.Duration) {

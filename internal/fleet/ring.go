@@ -32,8 +32,8 @@ type Point struct {
 // writer and any number of readers. Every point's Watts row lives in one
 // flat float64 arena preallocated at construction, so pushing a point
 // copies a few floats into a recycled slot and never allocates — the
-// 20 kHz ingest path touches the ring once per downsample block, holding
-// the lock only to copy a single point in or a bounded batch out.
+// 20 kHz ingest path touches the ring once per step, holding the lock
+// only to copy that step's points in or a bounded batch out.
 //
 // Because slots are recycled on wraparound, readers never receive views
 // into the arena: Snapshot deep-copies the points it returns.
@@ -57,94 +57,27 @@ func NewRing(capacity, chans int) *Ring {
 	if chans < 0 {
 		panic("fleet: NewRing with negative channel count")
 	}
-	return newRingWith(capacity, chans,
-		make([]Point, capacity), make([]float64, capacity*chans))
-}
-
-// newRingWith builds a ring over caller-supplied backing memory — the
-// shard memory pools hand in recycled slabs here. buf must hold capacity
-// points and arena capacity×chans floats; contents may be stale garbage
-// from a previous life, since every cell is (re)bound or overwritten
-// before a reader can see it: Watts rows are rebound below, and scalar
-// fields are only read up to the push cursor.
-func newRingWith(capacity, chans int, buf []Point, arena []float64) *Ring {
-	r := &Ring{buf: buf, arena: arena, chans: chans}
+	r := &Ring{buf: make([]Point, capacity), arena: make([]float64, capacity*chans), chans: chans}
 	for i := range r.buf {
 		r.buf[i].Watts = r.arena[i*chans : (i+1)*chans : (i+1)*chans]
 	}
 	return r
 }
 
-// detach compacts the ring onto fresh exact-size backing and returns the
-// original buffer and arena for recycling. Called at device retirement,
-// after the final drain flush: the held points are deep-copied
-// oldest-first into self-owned memory, so the retired ring's Len, Total
-// and Snapshot keep working for callers holding the device — the drain
-// contract — while the (much larger) pooled slabs go back to the shard
-// for the next adoption. After detach the ring's capacity equals its
-// held count and no further pushes may occur; the device's closed flag
-// already guarantees that.
-func (r *Ring) detach() (buf []Point, arena []float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	buf, arena = r.buf, r.arena
-	n := r.n
-	nb := make([]Point, n)
-	na := make([]float64, n*r.chans)
-	start := 0
-	if n == len(r.buf) {
-		start = r.next
-	}
-	for i := 0; i < n; i++ {
-		src := &r.buf[(start+i)%len(r.buf)]
-		nb[i] = *src
-		nb[i].Watts = na[i*r.chans : (i+1)*r.chans : (i+1)*r.chans]
-		copy(nb[i].Watts, src.Watts)
-	}
-	r.buf, r.arena, r.next = nb, na, 0
-	return buf, arena
-}
-
-// Cap returns the ring's capacity: the construction capacity while the
-// station lives, the held point count once retirement detached the ring
-// onto exact-size backing. The lock orders it against that swap.
-func (r *Ring) Cap() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
+// Cap returns the ring's capacity. It is fixed at construction, so Cap
+// takes no lock.
+func (r *Ring) Cap() int { return len(r.buf) }
 
 // Chans returns the per-point channel count.
 func (r *Ring) Chans() int { return r.chans }
-
-// Push records one downsampled point, evicting the oldest once the ring
-// is full. watts must hold the per-channel block averages (exactly the
-// ring's channel count); it is copied into the point's arena slot, so the
-// caller may reuse its buffer. marks is the block's user-marker count.
-// Push never allocates.
-func (r *Ring) Push(t time.Duration, watts []float64, total, min, max float64, marks int) {
-	r.mu.Lock()
-	p := &r.buf[r.next]
-	p.Time, p.Total, p.Min, p.Max, p.Marks = t, total, min, max, marks
-	copy(p.Watts, watts)
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-	}
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.total++
-	r.mu.Unlock()
-}
 
 // PushN records k consecutive downsampled points under one lock
 // acquisition — the ingest path collects the blocks completed within one
 // step and pushes them together, instead of paying a lock round-trip per
 // block. watts is sample-major with the ring's channel stride (point i's
 // row is watts[i*chans:(i+1)*chans]); times, totals, mins, maxs and marks
-// hold one entry per point. Like Push, PushN copies everything and never
-// allocates.
+// hold one entry per point. PushN copies everything, so the caller may
+// reuse its buffers, and never allocates.
 func (r *Ring) PushN(times []time.Duration, watts []float64, totals, mins, maxs []float64, marks []int) {
 	r.mu.Lock()
 	for i, t := range times {

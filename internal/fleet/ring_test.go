@@ -8,7 +8,8 @@ import (
 
 func push(r *Ring, i int) {
 	w := float64(i)
-	r.Push(time.Duration(i)*time.Millisecond, []float64{w, w + 0.5}, w, w-1, w+1, 0)
+	r.PushN([]time.Duration{time.Duration(i) * time.Millisecond}, []float64{w, w + 0.5},
+		[]float64{w}, []float64{w - 1}, []float64{w + 1}, []int{0})
 }
 
 func TestRingFillAndWraparound(t *testing.T) {
@@ -88,12 +89,15 @@ func TestRingSnapshotOwnsWatts(t *testing.T) {
 // copies into preallocated slots and never allocates.
 func TestRingPushZeroAlloc(t *testing.T) {
 	r := NewRing(8, 3)
+	times := []time.Duration{time.Millisecond}
 	watts := []float64{1, 2, 3}
+	totals, mins, maxs := []float64{6}, []float64{1}, []float64{3}
+	marks := []int{0}
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Push(time.Millisecond, watts, 6, 1, 3, 0)
+		r.PushN(times, watts, totals, mins, maxs, marks)
 	})
 	if allocs != 0 {
-		t.Errorf("Push allocates %v per call, want 0", allocs)
+		t.Errorf("PushN allocates %v per call, want 0", allocs)
 	}
 }
 
@@ -106,7 +110,8 @@ func TestRingMarksTravel(t *testing.T) {
 		if i == 4 {
 			marks = 2
 		}
-		r.Push(time.Duration(i)*time.Millisecond, []float64{1}, 1, 1, 1, marks)
+		r.PushN([]time.Duration{time.Duration(i) * time.Millisecond}, []float64{1},
+			[]float64{1}, []float64{1}, []float64{1}, []int{marks})
 	}
 	snap := r.Snapshot(0)
 	if len(snap) != 4 {

@@ -60,7 +60,7 @@ func newSoftwareMeterStation(kind string, seed uint64) source.Source {
 			Joules: m.EnergyJoules,
 		})
 	case "rapl":
-		cpu := &vendorapi.CPU{IdleW: 28, TDPW: 125}
+		cpu := &vendorapi.CPU{IdleW: 28, TDPW: 125, Noise: rng.New(seed)}
 		m := vendorapi.NewRAPL(cpu)
 		return source.NewPolled(source.PolledConfig{
 			Meta: source.Meta{

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/gpu"
+	"repro/internal/rng"
 )
 
 // Reading is one vendor-API sample.
@@ -208,9 +209,15 @@ type CPU struct {
 	IdleW float64
 	TDPW  float64
 	Util  float64 // 0..1, set by the workload
+	// Noise, when set, adds a ~0.5% RMS supply ripple to every Power
+	// call, as gpu.GPU does to its power, so a package held at one
+	// utilisation never reads bit-identical power twice. Nil gives the
+	// noiseless model.
+	Noise *rng.Source
 }
 
-// Power returns the package power at the current utilisation.
+// Power returns the package power at the current utilisation. RAPL calls
+// it once per counter update.
 func (c *CPU) Power() float64 {
 	u := c.Util
 	if u < 0 {
@@ -219,7 +226,11 @@ func (c *CPU) Power() float64 {
 	if u > 1 {
 		u = 1
 	}
-	return c.IdleW + u*(c.TDPW-c.IdleW)
+	p := c.IdleW + u*(c.TDPW-c.IdleW)
+	if c.Noise != nil {
+		p += c.Noise.NormSigma(0.005 * p)
+	}
+	return p
 }
 
 // RAPL emulates Intel's Running Average Power Limit counters: a package
