@@ -79,7 +79,7 @@
 // internal/export serves a fleet over HTTP.
 //
 // One loop drives the fleet. Manager.Start launches a single pacer that
-// advances every station by one virtual-time slice per quantum, paced
+// advances the fleet by one virtual-time slice per quantum, paced
 // against the wall clock, and Manager.StepAll — what tests, tools and
 // perfbench call — steps the same quanta unpaced. Both go through one
 // function, which steps small fleets serially and fans larger ones out
@@ -89,6 +89,20 @@
 // source blocks: source.Sensor, source.Polled, the synthetic stations in
 // internal/simsetup and every internal/pipeline stage compute each batch
 // on virtual time.
+//
+// The loop steps only what is due. Every station has a due time: each
+// quantum for a station whose sample period fits in one (every 20 kHz
+// rig and 1 kHz stage), otherwise the earliest of its next sample (one
+// period after the last delivered one, on the stage-rewritten
+// Meta.RateHz), the end of a restart backoff and the health watchdog's
+// deadlines. A station that is not due costs a comparison in its shard's
+// dense due-time array — no lock, no source call, no write — and a shard
+// with nothing due is not handed to its worker at all. When due, the
+// station reads all the time it is owed in one ReadInto call, which is
+// exact because every source gives the same samples however its reads
+// are sliced (the source.Source contract). A skipped station's clock is
+// carried forward by its shard's clock, so Status.Now stays exact.
+// A 10 Hz meter is read ten times a second instead of two hundred.
 //
 // Fleets are dynamic while serving. A station can be adopted against a
 // running manager (the pacer steps it from the next quantum) and retired
@@ -146,8 +160,8 @@
 //	   ├─ device list   per-shard copy-on-write sorted slice; churn
 //	   │                and snapshots contend only within the shard
 //	   ├─ step worker   each quantum of Start's pacer or StepAll fans
-//	   │                out to one persistent goroutine per shard;
-//	   │                zero allocations per step
+//	   │                out to one persistent goroutine per shard with
+//	   │                a station due; zero allocations per step
 //	   └─ render cache  the exporter caches one exposition segment per
 //	                    shard, keyed by Manager.ShardGen — a busy
 //	                    station re-renders only its own shard's

@@ -59,7 +59,12 @@ type Status struct {
 	Channels []string `json:"channels"`
 	// Pairs is the number of measurement channels.
 	Pairs int `json:"pairs"`
-	// Now is the station's virtual time.
+	// Now is the station's virtual time: exact after every fleet quantum,
+	// skipped or not, and frozen while its source is not being read
+	// (restart backoff, parked, closed). Between the reads of a skipped
+	// station it advances with the fleet's clock, so a source whose own
+	// clock runs at another rate (the skew fault stage) reads exact only
+	// at its reads.
 	Now time.Duration `json:"now"`
 	// Watts is the summed board power of the latest downsampled ring
 	// point — a block average rather than one raw sample, since a
@@ -68,7 +73,9 @@ type Status struct {
 	Watts     float64   `json:"watts"`
 	PairWatts []float64 `json:"pair_watts"`
 	// Joules is the cumulative energy over all channels since the fleet
-	// adopted the station, as integrated by the backend itself.
+	// adopted the station, as integrated by the backend itself, read with
+	// the station's latest samples: a station skipped between samples
+	// publishes the counter as of its last read.
 	Joules float64 `json:"joules"`
 	// State is the station's lifecycle state: "adopted" (owned, not
 	// driven), "started" (the manager's pacer is advancing it), "stopping"
@@ -114,10 +121,11 @@ type Status struct {
 
 // pub is the device's published telemetry: one atomic cell per Status
 // field that changes while the fleet runs. The ingest goroutine refreshes
-// the cells at block boundaries and at the end of every step, and readers
+// the cells at block boundaries and at the end of every read, and readers
 // assemble a Status from plain atomic loads — so Status()/Snapshot()
 // never touch the ingest mutex, and a stalled scraper can never stall a
-// 20 kHz station.
+// 20 kHz station. A station skipped for quanta is not written at all: its
+// clock is carried forward by its shard's (see Device.now).
 //
 // Per-field atomics (rather than an atomically swapped snapshot struct)
 // keep the refresh allocation-free: republishing a fresh snapshot object
@@ -126,10 +134,14 @@ type Status struct {
 // blocks; each field is itself always a complete, valid value, which is
 // all a telemetry scrape needs.
 type pub struct {
-	state     atomic.Int32 // devState
-	samples   atomic.Uint64
-	marks     atomic.Uint64
+	state   atomic.Int32 // devState
+	samples atomic.Uint64
+	marks   atomic.Uint64
+	// The station's clock (see Device.now): its source's clock at the
+	// last read, and that clock's offset from the shard clock, or
+	// frozenOff while the source is not read (backoff, parked, closed).
 	nowNanos  atomic.Int64
+	nowOff    atomic.Int64
 	joules    atomic.Uint64 // math.Float64bits
 	overhead  atomic.Int64  // cumulative sampling overhead, nanoseconds
 	resyncs   atomic.Int64
@@ -161,8 +173,19 @@ type Device struct {
 	kind string
 	meta source.Meta // Channels is the device's own immutable copy
 	ring *Ring
+	clk  *atomic.Int64 // the home shard's clock: virtual time stepped through
+	// due is the shard time the station is next due (see nextDue);
+	// written and read only by its home shard under the shard's mu.
+	due time.Duration
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// Due-time stepping: the shard time the source has been read up to,
+	// the sample period (zero when the station is due every quantum) and
+	// the shard time its next sample is due.
+	readAt    time.Duration
+	period    time.Duration
+	sampleDue time.Duration
+
 	src     source.Source
 	ov      source.Overheader // src's overhead accounting, nil without one
 	batch   source.Batch      // reused columnar buffer ReadInto fills each step
@@ -222,10 +245,11 @@ type Device struct {
 // source's native rate, so a 20 kHz sensor averages hundreds of samples
 // per point while a 10 Hz software meter contributes every sample it has.
 // The batch columns are pre-sized for the samples one slice of virtual
-// time produces at the source's native rate. foldHist and histQuery are
-// the manager's fold and history-query histograms; events receives the
+// time produces at the source's native rate. clk is the home shard's
+// clock, read once for the adoption time; foldHist and histQuery are the
+// manager's fold and history-query histograms; events receives the
 // health watchdog's transition events.
-func newDevice(name, kind string, src source.Source, cfg Config, foldHist, histQuery *obs.Hist, events *obs.EventRing) *Device {
+func newDevice(name, kind string, src source.Source, cfg Config, clk *atomic.Int64, foldHist, histQuery *obs.Hist, events *obs.EventRing) *Device {
 	meta := src.Meta()
 	// The device keeps its own copy of the channel labels: neither the
 	// source nor any Status consumer can mutate it from under the fleet.
@@ -239,6 +263,7 @@ func newDevice(name, kind string, src source.Source, cfg Config, foldHist, histQ
 		kind:      kind,
 		meta:      meta,
 		ring:      NewRing(cfg.RingCap, len(meta.Channels)),
+		clk:       clk,
 		src:       src,
 		block:     block,
 		chans:     len(meta.Channels),
@@ -247,11 +272,21 @@ func newDevice(name, kind string, src source.Source, cfg Config, foldHist, histQ
 		events:    events,
 		histQuery: histQuery,
 	}
+	// A station is adopted at its shard's current time and is due every
+	// quantum until its first sample fixes its phase.
+	d.readAt = time.Duration(clk.Load())
+	d.sampleDue = d.readAt
+	if meta.RateHz > 0 {
+		if p := time.Duration(float64(time.Second) / meta.RateHz); p > cfg.Slice {
+			d.period = p
+		}
+	}
 	d.ov, _ = src.(source.Overheader)
 	// A non-positive budget takes the history default, never the
 	// tier's unbounded mode.
 	d.hist = history.New(history.Config{MaxBytes: max(cfg.HistoryBytes, 0)})
 	d.initWatchdog(cfg)
+	d.due = d.nextDue(d.readAt)
 	// Expected samples per step, padded: sources may round a slice up to
 	// whole sample periods, and a small margin keeps one extra sample
 	// from regrowing the columns.
@@ -261,8 +296,28 @@ func newDevice(name, kind string, src source.Source, cfg Config, foldHist, histQ
 	d.batch.Total = make([]float64, 0, n)
 	d.batch.Marks = make([]int, 0, 16)
 	d.pub.nowNanos.Store(int64(src.Now()))
+	d.pub.nowOff.Store(int64(src.Now() - d.readAt))
 	d.pub.resyncs.Store(int64(src.Resyncs()))
 	return d
+}
+
+// frozenOff is the published clock offset of a station whose source is
+// not being read: far enough below zero that the shard clock never lifts
+// it over the frozen source clock.
+const frozenOff = math.MinInt64 / 2
+
+// now returns the station's virtual time from the published cells: its
+// source's clock as of the last read, carried forward by the shard clock
+// over the quanta skipped since. A station stepped in the quantum under
+// way reads its new time at once, as a skipped one reads its exact time
+// once the quantum ends. publish stores the offset before the source
+// clock, so a reader mixing two reads' cells sees the older time.
+func (d *Device) now() time.Duration {
+	now := d.pub.nowNanos.Load()
+	if skipped := d.clk.Load() + d.pub.nowOff.Load(); skipped > now {
+		now = skipped
+	}
+	return time.Duration(now)
 }
 
 // Name returns the station's fleet name.
@@ -453,13 +508,19 @@ func (d *Device) flush() {
 }
 
 // publish refreshes the atomically published telemetry from the ingest
-// state: once per step, plus per-block values only when a block completed
+// state: once per read, plus per-block values only when a block completed
 // since the last refresh. Rarely-changing cells are compared before being
 // stored, trading a cheap atomic load for the full exchange. Called with
 // d.mu held.
 func (d *Device) publish() {
 	d.pub.samples.Store(d.samples)
-	d.pub.nowNanos.Store(int64(d.src.Now()))
+	srcNow := d.src.Now()
+	off := int64(srcNow - d.readAt)
+	if d.closed || d.wd.parked || d.wd.backoff {
+		off = frozenOff
+	}
+	d.pub.nowOff.Store(off)
+	d.pub.nowNanos.Store(int64(srcNow))
 	d.pub.joules.Store(math.Float64bits(d.src.Joules() - d.baseJ))
 	if r := int64(d.src.Resyncs()); d.pub.resyncs.Load() != r {
 		d.pub.resyncs.Store(r)
@@ -506,107 +567,113 @@ func (d *Device) publish() {
 	d.pub.ringLen.Store(int64(held))
 }
 
-// foldSampleEvery selects which steps contribute a fold-latency
-// observation: every step whose ordinal is a multiple of it. At the
-// uninstrumented baseline one timed step costs two clock reads plus a
+// foldSampleEvery selects which reads contribute a fold-latency
+// observation: every read whose ordinal is a multiple of it. At the
+// uninstrumented baseline one timed read costs two clock reads plus a
 // histogram Record (~70 ns) against ~680 ns of fold work per default
-// 100-sample step — around 10%, over the ingest path's 5% overhead
-// budget if paid every step. Sampling 1-in-32 amortises it well under
-// 1% while a 200-step/s production station still records ~6
+// 100-sample read — around 10%, over the ingest path's 5% overhead
+// budget if paid every read. Sampling 1-in-32 amortises it well under
+// 1% while a 200-read/s production station still records ~6
 // observations per second, ample for a latency distribution. Must be a
 // power of two; the selection is a mask test.
 const foldSampleEvery = 32
 
-// step advances the station by dt of virtual time, ingesting the batch
-// the source produced over it and refreshing the published telemetry.
-// On sampled steps the fold (despike + ingest + flush, its history
-// append included, + publish; source read excluded) is timed into the
-// manager's shared fold histogram; the timed path is identical to the
-// untimed one apart from the clock reads, so the sample is unbiased.
+// never is the due time of a station that is never stepped again.
+const never = time.Duration(math.MaxInt64)
+
+// step advances the station to shard time end and returns the shard time
+// at which it is next due (see nextDue). Its home shard calls it only
+// when the station is due, so the quanta skipped since the last read are
+// owed, and advance reads them and the current quantum in one ReadInto
+// call. A closed station is never due.
+func (d *Device) step(end time.Duration) time.Duration {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return never
+	}
+	return d.advance(end)
+}
+
+// advance is step with d.mu held. On sampled reads the fold (despike +
+// ingest + flush, its history append included, + publish; source read
+// excluded) is timed into the manager's shared fold histogram; the timed
+// path is identical to the untimed one apart from the clock reads, so
+// the sample is unbiased.
 //
 // The health watchdog brackets the read: a source in a restart backoff
 // window (or parked for good) is not read at all — its virtual time
 // freezes and the silence drives it stale — and a ReadInto error starts
 // or deepens a backoff cycle while whatever samples arrived before the
-// failure are still ingested.
-func (d *Device) step(dt time.Duration) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return
-	}
+// failure are still ingested. A parked station is never due, and one in
+// backoff is next due when its window ends, so a visit to it is the
+// restart.
+func (d *Device) advance(end time.Duration) time.Duration {
 	w := &d.wd
-	if w.parked {
-		w.emptyFor += dt
-		d.refreshHealth()
+	if w.backoff {
+		d.restart(end)
+		d.refreshHealth(end)
 		d.publish()
-		d.mu.Unlock()
-		return
+		return d.nextDue(end)
 	}
-	if w.backoffSteps > 0 {
-		w.backoffSteps--
-		w.emptyFor += dt
-		if w.backoffSteps == 0 {
-			// Backoff expired: one recovery attempt, then the next step
-			// reads again. A failing Restart deepens the cycle directly.
-			w.restarts++
-			d.healthEvent(obs.EventRestart, "restart")
-			if w.rst != nil {
-				if err := w.rst.Restart(); err != nil {
-					d.sourceFault()
-				}
-			}
-		}
-		d.refreshHealth()
-		d.publish()
-		d.mu.Unlock()
-		return
-	}
+	dt := end - d.readAt
+	d.readAt = end
 	err := d.src.ReadInto(dt, &d.batch)
 	got := d.batch.Len()
-	if err != nil {
-		d.sourceFault()
-	} else if w.wasFaulted && got > 0 {
-		// First delivering read after a fault cycle: the source is back.
-		// Success means samples, not just a nil error — a restarted
-		// source staying silent must keep burning its bounded budget
-		// rather than resetting it.
-		w.wasFaulted = false
-		w.nextBackoff = backoffInitSteps
-		w.restartsLeft = restartBudget
-		d.healthEvent(obs.EventRestart, "recovered")
+	switch {
+	case err != nil:
+		d.sourceFault(end)
+	case got > 0:
+		if w.wasFaulted {
+			// First delivering read after a fault cycle: the source is
+			// back. Success means samples, not just a nil error — a
+			// restarted source staying silent must keep burning its
+			// bounded budget rather than resetting it.
+			w.wasFaulted = false
+			w.nextBackoff = backoffInit
+			w.restartsLeft = restartBudget
+			d.healthEvent(obs.EventRestart, "recovered")
+		}
+		if d.period > 0 {
+			// The next sample is due one period after this read's last
+			// one, mapped from the source's clock onto the shard's. A
+			// timestamp ahead of the clock counts as on it, so the due
+			// time is never further off than one period.
+			lag := max(d.src.Now()-d.batch.Time[got-1], 0)
+			d.sampleDue = end - lag + d.period
+		}
+	case w.rst != nil && end-w.lastGot >= 2*staleAfter:
+		// Sustained silence from a restartable source is treated like a
+		// read error: kick a restart cycle. Sources that cannot restart
+		// just go stale; there is nothing to retry.
+		d.sourceFault(end)
 	}
 	if d.stepN&(foldSampleEvery-1) == 0 {
 		began := time.Now()
-		d.despike(&d.batch)
+		d.despike(&d.batch, end)
 		d.ingestBatch(&d.batch)
 		d.flush()
 		d.publish()
 		d.foldHist.Record(time.Since(began))
 	} else {
-		d.despike(&d.batch)
+		d.despike(&d.batch, end)
 		d.ingestBatch(&d.batch)
 		d.flush()
 		d.publish()
 	}
 	d.stepN++
-	d.observeStep(dt, got)
-	// Sustained silence from a restartable source is treated like a read
-	// error: kick a restart cycle. Sources that cannot restart just go
-	// stale; there is nothing to retry.
-	if w.emptyFor >= 2*staleAfter && w.backoffSteps == 0 && !w.parked && w.rst != nil {
-		d.sourceFault()
-	}
-	d.refreshHealth()
-	d.mu.Unlock()
+	d.observeRead(dt, got, end)
+	d.refreshHealth(end)
+	return d.nextDue(end)
 }
 
 // Status returns a snapshot of the station assembled from the published
 // telemetry cells. It never takes the ingest mutex, so it cannot stall —
 // or be stalled by — a station advancing at 20 kHz; values are at most
 // one manager slice (and one downsample block) behind the ingest
-// goroutine. After the fleet closes a station, the last published values
-// remain readable.
+// goroutine, and a station skipped between samples publishes what its
+// last read delivered while its clock keeps the shard's time. After the
+// fleet closes a station, the last published values remain readable.
 func (d *Device) Status() Status {
 	var out Status
 	d.StatusInto(&out)
@@ -627,7 +694,7 @@ func (d *Device) StatusInto(st *Status) {
 		RateHz:            d.meta.RateHz,
 		Pairs:             d.chans,
 		State:             devState(d.pub.state.Load()).String(),
-		Now:               time.Duration(d.pub.nowNanos.Load()),
+		Now:               d.now(),
 		Watts:             math.Float64frombits(d.pub.watts.Load()),
 		Joules:            math.Float64frombits(d.pub.joules.Load()),
 		Samples:           d.pub.samples.Load(),
@@ -673,15 +740,17 @@ func (d *Device) Trace(max int) *trace.Trace {
 	return tr
 }
 
-// close retires the device: the in-flight partial downsample block is
-// drained as one final short point (its mean covers however many samples
-// had accumulated), that point is flushed into the ring and the history
-// series, the final telemetry is published — then, and only then, the
-// source is released. The ordering is the drain contract: every sample
-// the device ingested reaches the ring and history before the source
-// goes. It reports whether this call performed the close, so the manager
-// logs exactly one close event per station however many paths (Remove,
-// Close, repeated Close) race here.
+// close retires the device: a live source first reads the time it is owed
+// up to its shard's clock, as it would have at its next due step; then
+// the in-flight partial downsample block is drained as one final short
+// point (its mean covers however many samples had accumulated), that
+// point is flushed into the ring and the history series, the final
+// telemetry is published with the clock frozen — then, and only then,
+// the source is released. The ordering is the drain contract: every
+// sample the device ingested reaches the ring and history before the
+// source goes. It reports whether this call performed the close, so the
+// manager logs exactly one close event per station however many paths
+// (Remove, Close, repeated Close) race here.
 func (d *Device) close() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -689,12 +758,15 @@ func (d *Device) close() bool {
 		return false
 	}
 	d.pub.state.Store(int32(devStopping))
+	if end := time.Duration(d.clk.Load()); end > d.readAt && !d.wd.parked && !d.wd.backoff {
+		d.advance(end)
+	}
 	if d.accN > 0 {
 		d.emit(d.src.Now())
 	}
 	d.flush()
-	d.publish()
 	d.closed = true
+	d.publish()
 	d.src.Close()
 	d.pub.state.Store(int32(devClosed))
 	return true

@@ -6,7 +6,22 @@
 // ingests every station's sample stream in columnar batches through the
 // internal/source layer — so heterogeneous backends coexist in one fleet:
 // 20 kHz PowerSensor3 rigs next to 10 Hz NVML counters and 1 kHz RAPL
-// meters. Samples are downsampled on the fly into fixed-capacity ring
+// meters.
+//
+// A quantum steps only the stations due within it. A station whose
+// sample period is no longer than Config.Slice is due every quantum; a
+// slower one is due at the earliest of its next sample (the last
+// delivered sample plus one period of its stage-rewritten Meta.RateHz),
+// the end of its restart backoff and its watchdog deadlines. A read that
+// was due but delivered nothing leaves the station due every quantum
+// until it delivers. Each shard keeps its stations' due times in a dense
+// array beside their minimum: a station that is not due costs one
+// comparison and no lock, source call or write, and a shard with nothing
+// due is not handed to its worker. A due station reads all the quanta it
+// skipped in one ReadInto call, which the source contract's split
+// invariance makes exact. Its published clock is its source's clock as
+// of its last read, carried forward by the shard's clock over the quanta
+// skipped since, so Status.Now is exact after every quantum. Samples are downsampled on the fly into fixed-capacity ring
 // buffers (one per station), with block sizes derived from each source's
 // native rate so ring points cover comparable time windows, and written
 // at the same step into a compressed long-horizon history series that
@@ -35,7 +50,7 @@
 // failure-handling behaviour is testable end to end without hardware.
 //
 // The watchdog runs three detectors on the ingest hot path, all
-// allocation-free: gap detection on per-step delivery accounting against
+// allocation-free: gap detection on per-read delivery accounting against
 // the backend's declared rate, flatline detection on runs of
 // bit-identical downsample blocks, and spike quarantine — an isolated
 // sample deviating from both (agreeing) neighbours by many times the
@@ -43,7 +58,12 @@
 // the ring, the published watts or the energy accounting. The detectors
 // drive Status.Health through four states, ordered by severity;
 // downgrades apply immediately, upgrades hold for a recovery window so a
-// flapping fault pins the station at its worst recent state:
+// flapping fault pins the station at its worst recent state. Every
+// watchdog window — staleness, the spike cool-down, the upgrade hold,
+// the restart backoff, the gap detector's delivery windows — is virtual
+// time on the shard clock, and each deadline is a due time, so a 10 Hz
+// meter visited only when due flips at the same quantum as it would if
+// visited every quantum:
 //
 //	          gap episode opens, or
 //	          spike quarantined recently
@@ -61,9 +81,11 @@
 //
 // A source whose ReadInto errors or goes silent (and advertises
 // source.Restarter) enters a bounded restart-with-backoff cycle: the
-// watchdog stops reading it for a doubling backoff window, attempts a
-// Restart, and — after a fixed budget of failed cycles — parks it
-// permanently, so a dead backend costs its own station and nothing else.
+// watchdog stops reading it for a doubling backoff window (20 ms to
+// 1.28 s of virtual time, its clock frozen), attempts a Restart at the
+// window's end, and — after a fixed budget of failed cycles — parks it
+// permanently, never due again, so a dead backend costs its own station
+// and nothing else.
 // Every transition appends a typed event to the fleet's lifecycle ring
 // (Manager.Events), and internal/export serves the health rank and the
 // episode counters as the powersensor_station_* metric families.

@@ -1,7 +1,7 @@
 // Per-station health watchdog: the ingest-side fault detection that lets
 // one faulted station degrade its own series while the rest of the fleet
 // stays well-formed. Three detectors run on the hot path — gap detection
-// on per-step delivery accounting, flatline detection on runs of
+// on per-read delivery accounting, flatline detection on runs of
 // bit-identical downsample blocks, spike quarantine on a robust
 // successive-difference outlier gate — and drive a published
 // Status.Health with hysteresis, plus a bounded restart-with-backoff path
@@ -10,9 +10,16 @@
 // (under Device.mu): no allocations, no locks beyond the one the step
 // already holds.
 //
+// Every window is virtual time on the station's shard clock, not a count
+// of steps, because a slow meter is visited only when something is due
+// (see Device.step): a 10 Hz station and a 20 kHz one go stale, cool down
+// after a spike, hold an upgrade and back off for the same virtual time.
+// The deadlines that end those windows are due times themselves, so a
+// skipped station is visited when one passes.
+//
 // Health states and transitions (worse is higher; upgrades toward healthy
-// hold for healthRecoverSteps consecutive steps before applying, so a
-// flapping fault cannot flap the published state):
+// hold for healthRecover of virtual time before applying, so a flapping
+// fault cannot flap the published state):
 //
 //	          gap episode opens, or
 //	          spike quarantined recently
@@ -121,15 +128,16 @@ func AggregateHealth(devs []Status) (stations, degraded, down int) {
 	return stations, degraded, down
 }
 
-// Watchdog tuning. Steps and windows are virtual time, so detection
-// latency scales with the fleet's configured pacing, not the host's.
+// Watchdog tuning. Every window is virtual time, so detection latency
+// scales with the fleet's configured pacing, not the host's, and not with
+// how often a station is visited.
 const (
 	// gapCleanWins is how many consecutive clean delivery windows close a
 	// gap episode — the gap detector's recovery hysteresis.
 	gapCleanWins = 2
-	// spikeRecoverSteps is how many steps after the last quarantined
-	// sample the station stays degraded — the spike gate's hysteresis.
-	spikeRecoverSteps = 16
+	// spikeRecover is how long after the last quarantined sample the
+	// station stays degraded — the spike gate's hysteresis.
+	spikeRecover = 80 * time.Millisecond
 	// spikeArm is how many samples prime the noise-scale EWMA before the
 	// spike gate starts quarantining; until the scale is learned, an
 	// honest step change would look like a glitch.
@@ -140,9 +148,9 @@ const (
 	spikeAlpha = 1.0 / 64
 	// spikeGateK is the quarantine threshold in noise-scale multiples.
 	spikeGateK = 8.0
-	// healthRecoverSteps is how many consecutive steps an improvement
-	// must hold before the published health upgrades.
-	healthRecoverSteps = 8
+	// healthRecover is how long an improvement must hold before the
+	// published health upgrades.
+	healthRecover = 40 * time.Millisecond
 	// flatMinSamples is the fewest bit-identical consecutive samples a
 	// flatline episode needs, whatever flatlineWindow says. A coarse
 	// quantised meter (RAPL at 100 Hz reads in 0.01 W steps) legitimately
@@ -166,10 +174,10 @@ const (
 	// restartBudget bounds the restart-with-backoff path: after this many
 	// fault cycles without a clean delivering read, the source is parked.
 	restartBudget = 6
-	// backoffInitSteps / backoffMaxSteps bound the skip-the-source windows
-	// between restart attempts, in steps (slices): 4 doubling to 256.
-	backoffInitSteps = 4
-	backoffMaxSteps  = 256
+	// backoffInit / backoffMax bound the skip-the-source windows between
+	// restart attempts: 20 ms doubling to 1.28 s.
+	backoffInit = 20 * time.Millisecond
+	backoffMax  = 1280 * time.Millisecond
 )
 
 // watchdog is one station's health-detection state, owned by the ingest
@@ -190,9 +198,9 @@ type watchdog struct {
 	gapOpen   bool
 	winExpect float64
 	winGot    float64
-	winLeft   time.Duration
+	winEnd    time.Duration // shard time the open window ends
 	cleanWins int
-	emptyFor  time.Duration // virtual time since the last delivered sample
+	lastGot   time.Duration // shard time of the last delivering read (or adoption)
 
 	// Flatline detection: run of bit-identical min==max==value blocks.
 	flatVal  float64
@@ -201,20 +209,24 @@ type watchdog struct {
 
 	// Spike quarantine: successive-difference noise scale and the despike
 	// neighbour state carried across batch boundaries.
-	spikePrev float64
-	spikeDev  float64
-	spikeN    int
-	spikeCool int
+	spikePrev  float64
+	spikeDev   float64
+	spikeN     int
+	spikeUntil time.Duration // shard time the spike hysteresis ends
 
-	// Published health with upgrade hysteresis.
-	health     int32
-	healthHold int
+	// Published health with upgrade hysteresis: an improvement pending
+	// since the read that first saw it applies at holdUntil.
+	health    int32
+	holding   bool
+	holdUntil time.Duration
 
-	// Restart-with-backoff.
+	// Restart-with-backoff: while backoff is set the source is not read
+	// and is restarted at restartAt.
 	rst          source.Restarter
 	wasFaulted   bool
-	backoffSteps int
-	nextBackoff  int
+	backoff      bool
+	restartAt    time.Duration
+	nextBackoff  time.Duration
 	restartsLeft int
 	parked       bool
 
@@ -226,23 +238,25 @@ type watchdog struct {
 }
 
 // initWatchdog sizes the detectors from the station's native rate and the
-// fleet config. Called from newDevice.
+// fleet config, with every window starting at the adoption time on the
+// shard clock. Called from newDevice.
 func (d *Device) initWatchdog(cfg Config) {
 	w := &d.wd
 	w.rateHz = d.meta.RateHz
+	w.lastGot = d.readAt
 	// One whole missing ring point is noise (resample lag, poll phase);
 	// two plus margin is a gap.
 	w.gapAfter = float64(2*d.block + 2)
 	// The delivery-accounting window must hold a few slices of a fast
 	// source and at least ~2.5 sample periods of a slow meter, so one
-	// poll landing either side of a boundary cannot dirty a window.
+	// poll landing either side of a boundary cannot dirty a window. A
+	// slow meter's window is a whole number of periods, so on a meter
+	// that delivers on time its window ends fall on its sample reads.
 	w.winDur = 4 * cfg.Slice
-	if w.rateHz > 0 {
-		if min := time.Duration(2.5 * float64(time.Second) / w.rateHz); w.winDur < min {
-			w.winDur = min
-		}
+	if d.period > 0 {
+		n := max((w.winDur+d.period-1)/d.period, 3)
+		w.winDur = n * d.period
 	}
-	w.winLeft = w.winDur
 	// Flatline threshold: identical blocks spanning flatlineWindow of
 	// virtual time at the native rate, never fewer than 3 — two equal
 	// polls of a coarse meter are coincidence, not a fault — and never
@@ -260,8 +274,7 @@ func (d *Device) initWatchdog(cfg Config) {
 			w.flatRunFor = n
 		}
 	}
-	w.spikeCool = spikeRecoverSteps
-	w.nextBackoff = backoffInitSteps
+	w.nextBackoff = backoffInit
 	w.restartsLeft = restartBudget
 	w.rst, _ = d.src.(source.Restarter)
 }
@@ -282,8 +295,8 @@ func (d *Device) healthEvent(typ, reason string) {
 // the isolation test fails. Limitations, by construction: back-to-back
 // glitches mask each other, and a batch's last sample has no right
 // neighbour yet, so a glitch there passes — the gate is a robust filter,
-// not a parser.
-func (d *Device) despike(b *source.Batch) {
+// not a parser. end is the shard time of the read that delivered b.
+func (d *Device) despike(b *source.Batch, end time.Duration) {
 	n := b.Len()
 	if n == 0 {
 		return
@@ -336,7 +349,7 @@ func (d *Device) despike(b *source.Batch) {
 	w.spikePrev = prev
 	if quarantined > 0 {
 		w.spikesQ += uint64(quarantined)
-		w.spikeCool = 0
+		w.spikeUntil = end + spikeRecover
 	}
 }
 
@@ -367,25 +380,27 @@ func (d *Device) observeFlat() {
 	}
 }
 
-// observeStep folds one step's delivery accounting into the gap detector:
-// running debt against the rate the backend declares, plus windowed
-// delivered-vs-expected comparison for episode recovery — the windowing
-// is what lets a 10 Hz meter (most steps legitimately empty) and a 20 kHz
-// sensor share one detector. Called from step after ingest.
-func (d *Device) observeStep(dt time.Duration, got int) {
+// observeRead folds one read's delivery accounting into the gap detector:
+// running debt against the rate the backend declares over the dt the read
+// covered, plus windowed delivered-vs-expected comparison for episode
+// recovery — the windowing is what lets a 10 Hz meter (most quanta
+// legitimately empty) and a 20 kHz sensor share one detector. Windows
+// lie on a fixed grid from the first delivering read, and each window end
+// is a due time (see nextDue), so it closes at the same quantum whether
+// or not the station was skipped before it. Called from advance after
+// ingest, with end the read's shard time.
+func (d *Device) observeRead(dt time.Duration, got int, end time.Duration) {
 	w := &d.wd
 	if got > 0 {
-		w.emptyFor = 0
-		w.primed = true
-	} else {
-		w.emptyFor += dt
+		w.lastGot = end
+		if !w.primed {
+			w.primed = true
+			w.winEnd = end + w.winDur
+		}
 	}
 	if !w.primed {
-		// Pre-first-sample: staleness (emptyFor) covers a source that
+		// Pre-first-sample: staleness (lastGot) covers a source that
 		// never starts; debt accounting would misread pipe-fill as a gap.
-		if w.spikeCool < spikeRecoverSteps {
-			w.spikeCool++
-		}
 		return
 	}
 	expect := w.rateHz * dt.Seconds()
@@ -400,8 +415,7 @@ func (d *Device) observeStep(dt time.Duration, got int) {
 	}
 	w.winExpect += expect
 	w.winGot += float64(got)
-	w.winLeft -= dt
-	if w.winLeft <= 0 {
+	if end >= w.winEnd {
 		// Clean = delivered what the rate promised, to within 1.5 samples
 		// (resample bin lag, poll phase) and 2% (rounding at scale).
 		if w.winGot >= w.winExpect-1.5-0.02*w.winExpect {
@@ -414,57 +428,60 @@ func (d *Device) observeStep(dt time.Duration, got int) {
 			w.cleanWins = 0
 		}
 		w.winExpect, w.winGot = 0, 0
-		w.winLeft = w.winDur
-	}
-	if w.spikeCool < spikeRecoverSteps {
-		w.spikeCool++
+		for w.winEnd <= end {
+			w.winEnd += w.winDur
+		}
 	}
 }
 
-// refreshHealth recomputes the published health from the open detector
-// episodes. Downgrades apply immediately — detection latency is the
-// detectors' own windows — while upgrades hold for healthRecoverSteps
-// consecutive steps, so a fault flapping at step cadence pins the station
-// at its worst recent state instead of strobing the fleet view. Called
-// from step with d.mu held; transitions publish atomically and append an
+// refreshHealth recomputes the published health at shard time end from
+// the open detector episodes. Downgrades apply immediately — detection
+// latency is the detectors' own windows — while upgrades hold for
+// healthRecover, so a fault flapping faster than that pins the station at
+// its worst recent state instead of strobing the fleet view. Called from
+// advance with d.mu held; transitions publish atomically and append an
 // obs event.
-func (d *Device) refreshHealth() {
+func (d *Device) refreshHealth(end time.Duration) {
 	w := &d.wd
 	var want int32
 	switch {
-	case w.parked || w.backoffSteps > 0 || w.emptyFor >= staleAfter:
+	case w.parked || w.backoff || end-w.lastGot >= staleAfter:
 		want = healthStale
 	case w.flatOpen:
 		want = healthFlatlined
-	case w.gapOpen || w.spikeCool < spikeRecoverSteps:
+	case w.gapOpen || end < w.spikeUntil:
 		want = healthDegraded
 	default:
 		want = healthHealthy
 	}
 	if want == w.health {
-		w.healthHold = 0
+		w.holding = false
 		return
 	}
 	if want < w.health { // improvement: hold before upgrading
-		w.healthHold++
-		if w.healthHold < healthRecoverSteps {
+		if !w.holding {
+			w.holding = true
+			w.holdUntil = end + healthRecover
+		}
+		if end < w.holdUntil {
 			return
 		}
 	}
-	w.healthHold = 0
+	w.holding = false
 	w.health = want
 	d.pub.health.Store(want)
 	d.pub.wdGen.Add(1)
 	d.healthEvent(obs.EventHealth, healthName(want))
 }
 
-// sourceFault begins (or deepens) a restart-with-backoff cycle: the
-// source is not read for the backoff window, after which step attempts a
-// Restart. Each cycle doubles the next window; when the budget runs out
-// the source is parked — read never again, permanently stale — so a dead
-// backend costs its station, not a retry loop. Called on a ReadInto error
-// and on sustained silence (stall) when the source is restartable.
-func (d *Device) sourceFault() {
+// sourceFault begins (or deepens) a restart-with-backoff cycle at shard
+// time end: the source is not read for the backoff window, whose end is
+// the station's next due time, when advance attempts a Restart. Each
+// cycle doubles the next window; when the budget runs out the source is
+// parked — read never again, permanently stale — so a dead backend costs
+// its station, not a retry loop. Called on a ReadInto error and on
+// sustained silence (stall) when the source is restartable.
+func (d *Device) sourceFault(end time.Duration) {
 	w := &d.wd
 	w.wasFaulted = true
 	if w.restartsLeft == 0 {
@@ -473,9 +490,71 @@ func (d *Device) sourceFault() {
 		return
 	}
 	w.restartsLeft--
-	w.backoffSteps = w.nextBackoff
-	if w.nextBackoff < backoffMaxSteps {
+	w.backoff = true
+	w.restartAt = end + w.nextBackoff
+	if w.nextBackoff < backoffMax {
 		w.nextBackoff *= 2
 	}
 	d.healthEvent(obs.EventRestart, "backoff")
+}
+
+// restart ends a backoff window at shard time end: one recovery attempt,
+// after which the next quantum reads again. The time the window skipped is
+// not owed — the source's clock froze through it, as a wedged backend's
+// would. A failing Restart deepens the cycle directly.
+func (d *Device) restart(end time.Duration) {
+	w := &d.wd
+	w.backoff = false
+	w.restarts++
+	d.healthEvent(obs.EventRestart, "restart")
+	d.readAt, d.sampleDue = end, end
+	if w.rst != nil {
+		if err := w.rst.Restart(); err != nil {
+			d.sourceFault(end)
+		}
+	}
+}
+
+// nextDue returns the shard time at which the station must next be
+// visited, after a visit at end: every quantum for a station whose sample
+// period fits in one; otherwise the earliest of its next sample, the end
+// of a restart backoff, and the watchdog deadlines still ahead — stale,
+// stall, spike cool-down, a pending health upgrade, the gap detector's
+// window end and the time its debt would open a gap if nothing arrived.
+// Every visit reads the time owed, so each deadline is evaluated at the
+// quantum it would be under every-quantum stepping. A sample that was
+// due but has not arrived keeps the station due every quantum until it
+// does, so a late sample costs no freshness. A parked station is never
+// due again.
+func (d *Device) nextDue(end time.Duration) time.Duration {
+	w := &d.wd
+	switch {
+	case w.parked:
+		return never
+	case w.backoff:
+		return w.restartAt
+	case d.period == 0:
+		return end
+	}
+	due := d.sampleDue
+	ahead := func(t time.Duration) {
+		if t > end && t < due {
+			due = t
+		}
+	}
+	ahead(w.lastGot + staleAfter)
+	if w.rst != nil {
+		ahead(w.lastGot + 2*staleAfter)
+	}
+	ahead(w.spikeUntil)
+	if w.holding {
+		ahead(w.holdUntil)
+	}
+	if w.primed {
+		ahead(w.winEnd)
+		if !w.gapOpen {
+			ahead(end + time.Duration((w.gapAfter-w.gapDebt)/w.rateHz*float64(time.Second)) + 1)
+		}
+	}
+	return due
 }

@@ -216,7 +216,7 @@ func (m *Manager) Add(name, kind string, src source.Source) (*Device, error) {
 	}
 	s := shardOf(name, len(m.shards))
 	sh := &m.shards[s]
-	d := newDevice(name, kind, src, m.cfg, m.foldHist.Stripe(s), &m.histQueryHist, m.events)
+	d := newDevice(name, kind, src, m.cfg, &sh.clock, m.foldHist.Stripe(s), &m.histQueryHist, m.events)
 	old := sh.list()
 	at := sort.Search(len(old), func(i int) bool { return old[i].name > name })
 	next := slices.Insert(slices.Clip(old), at, d) // a copy: readers hold old
@@ -334,11 +334,11 @@ func (m *Manager) ShardAdopted(s int) uint64 { return m.shards[s].adopted.Load()
 func (m *Manager) Events() *obs.EventRing { return m.events }
 
 // IngestFoldHist returns the fleet-wide latency histogram of the ingest
-// fold — the per-step cost of folding one source batch into the
+// fold — the per-read cost of folding one source batch into the
 // downsample accumulators, staging area and published cells, excluding
 // the source's own ReadInto. To keep the hot path inside its overhead
-// budget the fold is timed on a 1-in-foldSampleEvery step sample, so the
-// histogram holds a uniform sample of steps, not every step. The
+// budget the fold is timed on a 1-in-foldSampleEvery read sample, so the
+// histogram holds a uniform sample of reads, not every read. The
 // histogram is striped per shard (each station records into its home
 // shard's stripe); Snapshot and Count present the fleet-wide sum.
 func (m *Manager) IngestFoldHist() *obs.ShardedHist { return m.foldHist }
@@ -354,9 +354,10 @@ func (m *Manager) PaceLatenessHist() *obs.Hist { return &m.paceHist }
 func (m *Manager) HistoryQueryHist() *obs.Hist { return &m.histQueryHist }
 
 // ShardStepHist returns the distribution of per-shard quantum latency:
-// the time one shard took to advance all its stations by one slice
+// the time one shard took to step its due stations through one slice
 // quantum, whether stepped serially or by its shard worker, and whether
-// the quantum came from Start's pacer or from StepAll.
+// the quantum came from Start's pacer or from StepAll. A quantum in which
+// nothing of the shard is due records nothing.
 func (m *Manager) ShardStepHist() *obs.Hist { return &m.stepHist }
 
 // HealthCounts tallies the fleet's published health states: stations is
@@ -541,37 +542,43 @@ func (m *Manager) StepAll(d time.Duration) {
 	}
 }
 
-// stepQuantum advances every station by one quantum, serially for small
-// fleets. Fleets of at least stepParallelMin stations fan the shards out
-// to the persistent per-shard workers, with a full rendezvous so no
-// station runs ahead; the handoff is a channel send of a scalar, so the
-// fan-out allocates nothing in steady state at any fleet size.
+// stepQuantum advances every station by one quantum, stepping only the
+// stations due within it (see shard.step); a shard with nothing due just
+// moves its clock. Small fleets step serially. Fleets of at least
+// stepParallelMin stations hand each shard with something due to its
+// persistent worker, with a full rendezvous so no station runs ahead;
+// the handoff is a channel send of a scalar, so the fan-out allocates
+// nothing in steady state at any fleet size.
 func (m *Manager) stepQuantum(q time.Duration) {
-	if len(m.shards) == 1 || m.Size() < stepParallelMin {
-		for s := range m.shards {
-			devs := m.shards[s].list()
-			if len(devs) == 0 {
-				continue
-			}
-			began := time.Now()
-			for _, dev := range devs {
-				dev.step(q)
-			}
-			m.stepHist.Record(time.Since(began))
-		}
-		return
+	parallel := len(m.shards) > 1 && m.Size() >= stepParallelMin
+	if parallel {
+		m.stepMu.Lock()
+		m.ensureStepWorkers()
 	}
-	m.stepMu.Lock()
-	m.ensureStepWorkers()
 	for s := range m.shards {
-		if len(m.shards[s].list()) == 0 {
+		sh := &m.shards[s]
+		if len(sh.list()) == 0 || sh.skip(q) {
 			continue
 		}
-		m.stepWG.Add(1)
-		m.shards[s].stepCh <- q
+		if parallel {
+			m.stepWG.Add(1)
+			sh.stepCh <- q
+		} else {
+			m.stepShard(sh, q)
+		}
 	}
-	m.stepWG.Wait()
-	m.stepMu.Unlock()
+	if parallel {
+		m.stepWG.Wait()
+		m.stepMu.Unlock()
+	}
+}
+
+// stepShard steps one shard by quantum q, timed into the shard step
+// histogram.
+func (m *Manager) stepShard(sh *shard, q time.Duration) {
+	began := time.Now()
+	sh.step(q)
+	m.stepHist.Record(time.Since(began))
 }
 
 // ensureStepWorkers launches the persistent per-shard step workers.
@@ -588,17 +595,13 @@ func (m *Manager) ensureStepWorkers() {
 	}
 }
 
-// stepWorker advances one shard's stations by each quantum handed to it.
-// The worker always steps the shard's current published list, so
-// stations hot-added or retired between quanta are picked up or dropped
-// naturally. Exits when Close closes the channel.
+// stepWorker advances one shard by each quantum handed to it. The shard
+// always steps its current published list, so stations hot-added or
+// retired between quanta are picked up or dropped naturally. Exits when
+// Close closes the channel.
 func (m *Manager) stepWorker(sh *shard) {
 	for q := range sh.stepCh {
-		began := time.Now()
-		for _, dev := range sh.list() {
-			dev.step(q)
-		}
-		m.stepHist.Record(time.Since(began))
+		m.stepShard(sh, q)
 		m.stepWG.Done()
 	}
 }

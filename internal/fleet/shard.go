@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -26,18 +27,82 @@ func shardOf(name string, nshards int) int {
 // shard is one fixed partition of the fleet. Each shard owns its own
 // copy-on-write sorted device list, its own churn counters (feeding the
 // shard's render generation, so one shard's churn never invalidates
-// another's cached exposition segment) and, once parallel stepping
-// starts, its own persistent step-worker goroutine.
+// another's cached exposition segment), its own clock and due times and,
+// once parallel stepping starts, its own persistent step-worker
+// goroutine.
 type shard struct {
 	devices atomic.Pointer[[]*Device] // sorted by name, copy-on-write
 	adopted atomic.Uint64
 	retired atomic.Uint64
 	stepCh  chan time.Duration // nil until the step workers launch
+
+	// clock is the virtual time the shard has been stepped through,
+	// stored once each quantum's due stations are stepped. Its stations
+	// derive their published clocks from it, so a skipped station still
+	// reads its exact time.
+	clock atomic.Int64
+
+	// mu serialises the shard's quanta and guards the schedule: due[i] is
+	// the due time of built's i-th station, kept densely here so deciding
+	// who is due touches no device, and next is their minimum, so a shard
+	// with nothing due costs one comparison.
+	mu    sync.Mutex
+	built *[]*Device
+	due   []time.Duration
+	next  time.Duration
 }
 
 // list returns the shard's current published device slice.
 func (sh *shard) list() []*Device {
 	return *sh.devices.Load()
+}
+
+// skip advances the clock by q and reports true when no station of the
+// shard is due within the quantum and its list is unchanged, so the
+// quantum needs neither the step worker nor any device.
+func (sh *shard) skip(q time.Duration) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	end := time.Duration(sh.clock.Load()) + q
+	if sh.devices.Load() != sh.built || sh.next <= end {
+		return false
+	}
+	sh.clock.Store(int64(end))
+	return true
+}
+
+// step advances the shard by one quantum q: it steps every station due by
+// the quantum's end — each reads the quanta it skipped in the same call —
+// and then moves the clock. A list changed by Add or Remove rebuilds the
+// schedule first, carrying each station's due time over; a new station is
+// due at once.
+func (sh *shard) step(q time.Duration) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	end := time.Duration(sh.clock.Load()) + q
+	if p := sh.devices.Load(); p != sh.built {
+		sh.built = p
+		sh.due = sh.due[:0]
+		for _, d := range *p {
+			sh.due = append(sh.due, d.due)
+		}
+		sh.next = end
+	}
+	if sh.next <= end {
+		devs := *sh.built
+		next := never
+		for i, due := range sh.due {
+			if due <= end {
+				d := devs[i]
+				due = d.step(end)
+				d.due = due
+				sh.due[i] = due
+			}
+			next = min(next, due)
+		}
+		sh.next = next
+	}
+	sh.clock.Store(int64(end))
 }
 
 // devIter merges the per-shard sorted device lists into one

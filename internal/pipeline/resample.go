@@ -49,20 +49,25 @@ type resampler struct {
 	// per-channel and summed-power sums, markers seen. Fixed-size
 	// accumulators, persisted across ReadInto calls so bins spanning a
 	// slice boundary close correctly on the next read.
-	binEnd  time.Duration
-	n       int
-	sums    [source.MaxChannels]float64
-	totSum  float64
-	marks   int
-	scratch [source.MaxChannels]float64 // emit's per-channel means
+	binEnd   time.Duration
+	lastEdge time.Duration // right edge of the last emitted bin
+	n        int
+	sums     [source.MaxChannels]float64
+	totSum   float64
+	marks    int
+	scratch  [source.MaxChannels]float64 // emit's per-channel means
 }
 
 // ReadInto implements source.Source: it advances the inner source into
 // the reused scratch batch, folds every sample into its bin, and appends
 // one averaged sample per completed bin into b. A bin completes when a
-// sample beyond its right edge arrives or when the source's clock passes
-// the edge (no future sample can land in it), so the delivered stream
-// lags the raw one by at most one bin.
+// sample on its right edge or beyond it arrives. That decision depends
+// only on the delivered sample sequence, never on the inner clock: a
+// PowerSensor3 rig's clock runs ahead of the samples it has delivered, so
+// closing on the clock would emit the rest of a bin as a second sample
+// with the same timestamp, and the output would depend on how the reads
+// were sliced. The delivered stream lags the raw one by at most one bin
+// plus one inner sample period.
 func (r *resampler) ReadInto(d time.Duration, b *source.Batch) error {
 	began := time.Now()
 	stride := len(r.meta.Channels)
@@ -79,8 +84,13 @@ func (r *resampler) ReadInto(d time.Duration, b *source.Batch) error {
 		}
 		if r.binEnd == 0 {
 			// Right edge of the bin covering t; a sample exactly on an
-			// edge belongs to the bin ending there.
+			// edge belongs to the bin ending there. A sample repeating an
+			// emitted edge's timestamp joins the next bin, so no two
+			// delivered samples share a timestamp.
 			r.binEnd = (t + r.period - 1) / r.period * r.period
+			if r.binEnd <= r.lastEdge {
+				r.binEnd = r.lastEdge + r.period
+			}
 		}
 		row := in.Chans[i*stride : (i+1)*stride]
 		for m, w := range row {
@@ -92,9 +102,9 @@ func (r *resampler) ReadInto(d time.Duration, b *source.Batch) error {
 			r.marks++
 			mk++
 		}
-	}
-	if r.binEnd != 0 && r.binEnd <= r.inner.Now() {
-		r.emit(b, stride)
+		if t == r.binEnd {
+			r.emit(b, stride) // timestamps never decrease: the bin is full
+		}
 	}
 	resampleHist.Record(time.Since(began))
 	return err
@@ -113,6 +123,7 @@ func (r *resampler) emit(b *source.Batch, stride int) {
 		r.sums[m] = 0
 	}
 	b.Append(r.binEnd, r.scratch[:stride], r.totSum*inv)
+	r.lastEdge = r.binEnd
 	for ; r.marks > 0; r.marks-- {
 		b.Mark()
 	}

@@ -416,6 +416,10 @@ func (st *gpuStation) Advance(d time.Duration) {
 type ssdStation struct {
 	rig   *DiskRig
 	noise *rng.Source
+	// idleTo is the end of the idle gap after the last burst: the next
+	// burst is submitted there, whichever Advance call reaches it, so the
+	// workload does not depend on how callers slice time.
+	idleTo time.Duration
 }
 
 func newSSDStation(r *DiskRig, seed uint64) *ssdStation {
@@ -431,19 +435,19 @@ func (st *ssdStation) Advance(d time.Duration) {
 	target := disk.Now() + d
 	const pages = 32 // 128 KiB request
 	for disk.Now() < target {
-		maxPage := disk.Config().LogicalPages - pages
-		c := disk.Submit(ssd.Request{
-			Page:   st.noise.Intn(maxPage),
-			Pages:  pages,
-			Submit: disk.Now(),
-		})
-		st.rig.Sync(c.Done)
-		// Idle gap between bursts, jittered per station.
-		idleTo := c.Done + time.Duration(1+st.noise.Intn(3))*time.Millisecond
-		if idleTo > target {
-			idleTo = target
+		if disk.Now() >= st.idleTo {
+			maxPage := disk.Config().LogicalPages - pages
+			c := disk.Submit(ssd.Request{
+				Page:   st.noise.Intn(maxPage),
+				Pages:  pages,
+				Submit: disk.Now(),
+			})
+			st.rig.Sync(c.Done)
+			// Idle gap between bursts, jittered per station.
+			st.idleTo = c.Done + time.Duration(1+st.noise.Intn(3))*time.Millisecond
 		}
-		disk.Advance(idleTo)
-		st.rig.Sync(idleTo)
+		to := min(st.idleTo, target)
+		disk.Advance(to)
+		st.rig.Sync(to)
 	}
 }

@@ -185,6 +185,16 @@ type Source interface {
 	// stalls every station in its shard and delays the whole fleet's
 	// quantum, not only its own station. Every bundled source computes
 	// its batch on virtual time and returns at once.
+	//
+	// Splitting a read changes nothing: ReadInto(a) then ReadInto(b)
+	// delivers the same samples — timestamps, channel rows, totals and
+	// marks — as one ReadInto(a+b), and leaves the same Now and, up to
+	// summation rounding, the same Joules. What a source delivers may
+	// depend on its virtual time and on the samples it has produced, never
+	// on how callers slice that time. The fleet relies on it: a station
+	// with no sample due skips quanta and reads the time they held in one
+	// call when its next sample is due. Every bundled source and pipeline
+	// stage keeps it (simsetup's TestSplitReadInvariance).
 	ReadInto(d time.Duration, b *Batch) error
 	// Joules returns the backend's cumulative energy counter, summed
 	// over channels — the PowerSensor3 host-library accumulator, or the
