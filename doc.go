@@ -187,9 +187,10 @@
 // ingest-fold latency (sampled one step in thirty-two to keep the instrument
 // inside the ingest path's own overhead budget), the pacer's lateness per
 // fleet quantum on paced fleets, and adopt/start/retire/close lifecycle
-// events with station name, kind and reason; the pipeline records
-// per-stage ReadInto latency; the exporter times its own scrapes by
-// serve path (full render versus cached fleet section).
+// events with station name, kind and reason; each station's pipeline
+// stages record their ReadInto latency into histograms the manager owns,
+// so two fleets in one process count apart; the exporter times its own
+// scrapes by serve path (full render versus cached fleet section).
 //
 // All of it exports as the powersensor_self_* families — ingest_fold /
 // pacing_late / stage_read / scrape_seconds histograms,

@@ -96,7 +96,6 @@ func main() {
 		},
 		Interval:      200 * time.Millisecond,
 		Timeout:       100 * time.Millisecond,
-		Retries:       0,
 		FailThreshold: 3,
 	})
 	if err != nil {

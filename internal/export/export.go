@@ -396,11 +396,11 @@ var (
 	shardStepSeries    = NewHistSeries(famShardStep, "")
 	histQuerySeries    = NewHistSeries(famHistQuery, "")
 
-	// stageSeries is index-aligned with pipeline.ReadHists().
+	// stageSeries is index-aligned with pipeline.Stages.
 	stageSeries = func() []*HistSeries {
 		var out []*HistSeries
-		for _, sh := range pipeline.ReadHists() {
-			out = append(out, NewHistSeries(famStageRead, `stage="`+Escape(sh.Stage)+`"`))
+		for _, stage := range pipeline.Stages {
+			out = append(out, NewHistSeries(famStageRead, `stage="`+Escape(stage)+`"`))
 		}
 		return out
 	}()
@@ -577,12 +577,13 @@ func (e *Exporter) appendSelf(buf []byte, hs *obs.HistSnapshot, began time.Time)
 	buf = append(buf, hdrSelfPacing...)
 	e.mgr.PaceLatenessHist().Snapshot(hs)
 	buf = pacingSeries.Append(buf, hs)
-	// Stage histograms are process-wide; a stage kind no source in this
-	// process ever ran would render as an all-zero distribution, so those
-	// are omitted rather than claiming an empty measurement.
+	// A stage kind no station of this fleet ever ran would render as an
+	// all-zero distribution, so those are omitted rather than claiming an
+	// empty measurement.
 	buf = append(buf, hdrSelfStageRead...)
-	for i, sh := range pipeline.ReadHists() {
-		sh.Hist.Snapshot(hs)
+	stages := e.mgr.StageHists()
+	for i := range stages {
+		stages[i].Snapshot(hs)
 		if hs.Count == 0 {
 			continue
 		}

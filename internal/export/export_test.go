@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -872,6 +873,47 @@ func TestMetricsSelfTelemetry(t *testing.T) {
 	}
 	if !strings.Contains(body, `powersensor_build_info{version="dev",go="`) {
 		t.Error("missing build info gauge")
+	}
+}
+
+// TestStageHistsPerManager: two fleets with staged stations in one
+// process each serve only their own stations' stage latencies.
+func TestStageHistsPerManager(t *testing.T) {
+	counts := func(srv *httptest.Server) map[string]string {
+		_, body := get(t, srv.URL+"/metrics")
+		out := map[string]string{}
+		re := regexp.MustCompile(`(?m)^powersensor_self_stage_read_seconds_count\{stage="([a-z]+)"\} ([0-9]+)$`)
+		for _, m := range re.FindAllStringSubmatch(body, -1) {
+			out[m[1]] = m[2]
+		}
+		return out
+	}
+	var mgrs [2]*fleet.Manager
+	var srvs [2]*httptest.Server
+	for i := range mgrs {
+		mgr, err := fleet.FromSpec("a=synth|resample:1000|calib:0.98,b=nvml|spike:0.05:8", uint64(i+1), fleet.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(mgr.Close)
+		mgrs[i] = mgr
+		srvs[i] = httptest.NewServer(New(mgr).Handler())
+		t.Cleanup(srvs[i].Close)
+	}
+	mgrs[1].StepAll(100 * time.Millisecond)
+	if got := counts(srvs[0]); len(got) != 0 {
+		t.Errorf("unstepped fleet serves stage counts %v, want none", got)
+	}
+	before := counts(srvs[1])
+	if len(before) != 3 {
+		t.Fatalf("stepped fleet serves stage counts %v, want resample, calib and spike", before)
+	}
+	mgrs[0].StepAll(200 * time.Millisecond)
+	if got := counts(srvs[0]); len(got) != 3 {
+		t.Errorf("stepped fleet serves stage counts %v, want resample, calib and spike", got)
+	}
+	if after := counts(srvs[1]); !reflect.DeepEqual(after, before) {
+		t.Errorf("stepping one fleet moved the other's stage counts from %v to %v", before, after)
 	}
 }
 

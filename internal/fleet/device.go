@@ -62,9 +62,10 @@ type Status struct {
 	// Now is the station's virtual time: exact after every fleet quantum,
 	// skipped or not, and frozen while its source is not being read
 	// (restart backoff, parked, closed). Between the reads of a skipped
-	// station it advances with the fleet's clock, so a source whose own
-	// clock runs at another rate (the skew fault stage) reads exact only
-	// at its reads.
+	// station it advances with the fleet's clock, except that a source
+	// whose own clock runs at another rate (the skew fault stage) holds
+	// its last read's time until its next read: exact at its reads, and
+	// never decreasing.
 	Now time.Duration `json:"now"`
 	// Watts is the summed board power of the latest downsampled ring
 	// point — a block average rather than one raw sample, since a
@@ -139,7 +140,8 @@ type pub struct {
 	marks   atomic.Uint64
 	// The station's clock (see Device.now): its source's clock at the
 	// last read, and that clock's offset from the shard clock, or
-	// frozenOff while the source is not read (backoff, parked, closed).
+	// frozenOff while the source is not read (backoff, parked, closed)
+	// and until the next read once the offset has moved.
 	nowNanos  atomic.Int64
 	nowOff    atomic.Int64
 	joules    atomic.Uint64 // math.Float64bits
@@ -185,6 +187,10 @@ type Device struct {
 	readAt    time.Duration
 	period    time.Duration
 	sampleDue time.Duration
+	// off is the source clock's offset from the shard clock as of the
+	// last read, adoption or restart. A read that finds it moved (a skew
+	// stage) freezes the published clock until the next read.
+	off time.Duration
 
 	src     source.Source
 	ov      source.Overheader // src's overhead accounting, nil without one
@@ -295,23 +301,25 @@ func newDevice(name, kind string, src source.Source, cfg Config, clk *atomic.Int
 	d.batch.Chans = make([]float64, 0, n*max(d.chans, 1))
 	d.batch.Total = make([]float64, 0, n)
 	d.batch.Marks = make([]int, 0, 16)
+	d.off = src.Now() - d.readAt
 	d.pub.nowNanos.Store(int64(src.Now()))
-	d.pub.nowOff.Store(int64(src.Now() - d.readAt))
+	d.pub.nowOff.Store(int64(d.off))
 	d.pub.resyncs.Store(int64(src.Resyncs()))
 	return d
 }
 
-// frozenOff is the published clock offset of a station whose source is
-// not being read: far enough below zero that the shard clock never lifts
-// it over the frozen source clock.
+// frozenOff is the published clock offset of a station whose clock
+// must not advance before its next read: far enough below zero that the
+// shard clock never lifts it over the frozen source clock.
 const frozenOff = math.MinInt64 / 2
 
 // now returns the station's virtual time from the published cells: its
 // source's clock as of the last read, carried forward by the shard clock
-// over the quanta skipped since. A station stepped in the quantum under
-// way reads its new time at once, as a skipped one reads its exact time
-// once the quantum ends. publish stores the offset before the source
-// clock, so a reader mixing two reads' cells sees the older time.
+// over the quanta skipped since unless the offset is frozen. A station
+// stepped in the quantum under way reads its new time at once, as a
+// skipped one reads its exact time once the quantum ends. publish stores
+// the offset before the source clock, so a reader mixing two reads'
+// cells sees the older time.
 func (d *Device) now() time.Duration {
 	now := d.pub.nowNanos.Load()
 	if skipped := d.clk.Load() + d.pub.nowOff.Load(); skipped > now {
@@ -515,11 +523,13 @@ func (d *Device) flush() {
 func (d *Device) publish() {
 	d.pub.samples.Store(d.samples)
 	srcNow := d.src.Now()
-	off := int64(srcNow - d.readAt)
-	if d.closed || d.wd.parked || d.wd.backoff {
-		off = frozenOff
+	off := srcNow - d.readAt
+	pubOff := int64(off)
+	if off != d.off || d.closed || d.wd.parked || d.wd.backoff {
+		pubOff = frozenOff
 	}
-	d.pub.nowOff.Store(off)
+	d.off = off
+	d.pub.nowOff.Store(pubOff)
 	d.pub.nowNanos.Store(int64(srcNow))
 	d.pub.joules.Store(math.Float64bits(d.src.Joules() - d.baseJ))
 	if r := int64(d.src.Resyncs()); d.pub.resyncs.Load() != r {
@@ -597,9 +607,8 @@ func (d *Device) step(end time.Duration) time.Duration {
 
 // advance is step with d.mu held. On sampled reads the fold (despike +
 // ingest + flush, its history append included, + publish; source read
-// excluded) is timed into the manager's shared fold histogram; the timed
-// path is identical to the untimed one apart from the clock reads, so
-// the sample is unbiased.
+// excluded) is timed into the manager's shared fold histogram; the clock
+// reads are all a sampled read adds, so the sample is unbiased.
 //
 // The health watchdog brackets the read: a source in a restart backoff
 // window (or parked for good) is not read at all — its virtual time
@@ -648,18 +657,17 @@ func (d *Device) advance(end time.Duration) time.Duration {
 		// just go stale; there is nothing to retry.
 		d.sourceFault(end)
 	}
-	if d.stepN&(foldSampleEvery-1) == 0 {
-		began := time.Now()
-		d.despike(&d.batch, end)
-		d.ingestBatch(&d.batch)
-		d.flush()
-		d.publish()
+	timed := d.stepN&(foldSampleEvery-1) == 0
+	var began time.Time
+	if timed {
+		began = time.Now()
+	}
+	d.despike(&d.batch, end)
+	d.ingestBatch(&d.batch)
+	d.flush()
+	d.publish()
+	if timed {
 		d.foldHist.Record(time.Since(began))
-	} else {
-		d.despike(&d.batch, end)
-		d.ingestBatch(&d.batch)
-		d.flush()
-		d.publish()
 	}
 	d.stepN++
 	d.observeRead(dt, got, end)

@@ -92,8 +92,8 @@ func adopt(t *testing.T, src source.Source, everyQuantum bool) (*Manager, *Devic
 // differ. Joules is the backend's counter as of the station's last read,
 // and a backend may count between the samples it delivers (a rate-limited
 // meter), so it is compared at the quanta the due-time station was read.
-// So is Now when drifts is set: between reads a station's clock advances
-// at the shard's rate, which a skewed source's clock does not.
+// So is Now when drifts is set: between reads a skewed station holds its
+// last read's time, while the reference reads its source's every quantum.
 // It returns the two devices.
 func twin(t *testing.T, mk func() source.Source, quanta int, drifts bool, at func(k int, p *probe)) (due, ref *Device) {
 	t.Helper()
@@ -350,21 +350,59 @@ func TestDueMatchesEveryQuantum(t *testing.T) {
 	}
 }
 
+// TestDueClockMonotone: every fleet kind, bare and behind every kind of
+// stage, skewed clocks both ways included, publishes a clock that never
+// decreases from one quantum to the next.
+func TestDueClockMonotone(t *testing.T) {
+	stages := []string{"", "|resample:5", "|calib:0.98:0.25", "|ratelimit:5",
+		"|smooth:300ms", "|dropout:0.3:250ms", "|stuck:0.3:250ms", "|spike:0.05:8",
+		"|skew:200", "|skew:300000", "|skew:-300000", "|jitter:10ms"}
+	m := NewManager(Config{})
+	t.Cleanup(m.Close)
+	for _, kind := range simsetup.FleetKinds() {
+		for _, stage := range stages {
+			src, err := simsetup.BuildStation(kind+stage, 5, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Add(kind+stage, kind+stage, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	last := map[string]time.Duration{}
+	var snap []Status
+	for k := 0; k < 200; k++ {
+		m.StepAll(5 * time.Millisecond)
+		snap = m.SnapshotInto(snap[:0])
+		for _, st := range snap {
+			if st.Now < last[st.Name] {
+				t.Errorf("%s: clock went back from %v to %v after quantum %d",
+					st.Name, last[st.Name], st.Now, k)
+			}
+			last[st.Name] = st.Now
+		}
+	}
+}
+
 // TestDueConcurrentStepping races due-time stepping on the parallel path
 // against itself, snapshots and churn: two goroutines step the same slow
-// fleet while a reader checks that no station's clock runs backwards and
-// a churner adds and removes stations. Each surviving station ends at
-// the total time stepped with every sample delivered.
+// fleet, some of it on skewed clocks, while a reader checks that no
+// station's clock runs backwards and a churner adds and removes stations.
+// Each surviving station ends with every sample delivered at its source's
+// clock, which for an unskewed one is the total time stepped.
 func TestDueConcurrentStepping(t *testing.T) {
 	const n, quanta = 2 * stepParallelMin, 100
+	kinds := []string{"nvml", "nvml|skew:-300000", "jetson-ina|skew:-300000", "nvml|skew:300000"}
 	m := NewManager(Config{})
 	t.Cleanup(m.Close)
 	for i := 0; i < n; i++ {
-		src, err := simsetup.BuildStation("nvml", 5, i)
+		kind := kinds[i%len(kinds)]
+		src, err := simsetup.BuildStation(kind, 5, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Add(fmt.Sprintf("m%03d", i), "nvml", src); err != nil {
+		if _, err := m.Add(fmt.Sprintf("m%03d", i), kind, src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -430,9 +468,13 @@ func TestDueConcurrentStepping(t *testing.T) {
 	close(stop)
 	side.Wait()
 	for _, st := range m.Snapshot() {
-		if st.Now != 2*quanta*5*time.Millisecond || st.Samples != 2*quanta/20 {
+		want := 2 * quanta * 5 * time.Millisecond
+		if strings.Contains(st.Kind, "skew") {
+			want = m.Device(st.Name).src.Now()
+		}
+		if st.Now != want || st.Samples != 2*quanta/20 {
 			t.Errorf("%s: %d samples at %v, want %d at %v",
-				st.Name, st.Samples, st.Now, 2*quanta/20, 2*quanta*5*time.Millisecond)
+				st.Name, st.Samples, st.Now, 2*quanta/20, want)
 		}
 	}
 }

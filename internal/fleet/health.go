@@ -501,7 +501,8 @@ func (d *Device) sourceFault(end time.Duration) {
 // restart ends a backoff window at shard time end: one recovery attempt,
 // after which the next quantum reads again. The time the window skipped is
 // not owed — the source's clock froze through it, as a wedged backend's
-// would. A failing Restart deepens the cycle directly.
+// would, so its offset from the shard clock is taken afresh. A failing
+// Restart deepens the cycle directly.
 func (d *Device) restart(end time.Duration) {
 	w := &d.wd
 	w.backoff = false
@@ -513,6 +514,7 @@ func (d *Device) restart(end time.Duration) {
 			d.sourceFault(end)
 		}
 	}
+	d.off = d.src.Now() - end
 }
 
 // nextDue returns the shard time at which the station must next be

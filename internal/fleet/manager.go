@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/protocol"
 	"repro/internal/simsetup"
 	"repro/internal/source"
@@ -124,15 +125,16 @@ type Manager struct {
 	// ingest-fold latency (ReadInto excluded — that is the source's
 	// sampling cost, accounted separately via source.Overheader), sampled
 	// one step in foldSampleEvery to stay inside the ingest path's
-	// overhead budget; it is striped per shard so concurrently stepping
-	// shard workers do not bounce one bucket array between cores.
-	// paceHist is pacer lateness: how far behind its absolute schedule
-	// each paced quantum boundary lands. stepHist is the time to advance
-	// one shard's stations by one quantum. events holds
-	// the structured lifecycle log.
-	foldHist *obs.ShardedHist
-	paceHist obs.Hist
-	stepHist obs.Hist
+	// overhead budget. paceHist is pacer lateness: how far behind its
+	// absolute schedule each paced quantum boundary lands. stepHist is
+	// the time to advance one shard's stations by one quantum. stageHists
+	// holds the ReadInto latency of every pipeline stage kind, recorded by
+	// the stages of the stations Add adopted. events holds the structured
+	// lifecycle log.
+	foldHist   obs.Hist
+	paceHist   obs.Hist
+	stepHist   obs.Hist
+	stageHists pipeline.Hists
 	// histQueryHist times one windowed energy query fleet-wide. Queries
 	// run off the ingest path, so an unsharded histogram suffices; the
 	// history append is timed inside the fold histogram.
@@ -163,7 +165,6 @@ func NewManager(cfg Config) *Manager {
 	for i := range m.shards {
 		m.shards[i].devices.Store(new([]*Device))
 	}
-	m.foldHist = obs.NewShardedHist(m.cfg.Shards)
 	m.events = obs.NewEventRing(m.cfg.EventCap)
 	return m
 }
@@ -207,16 +208,17 @@ func (m *Manager) ShardOf(name string) int {
 // pacer steps it from its next quantum — the hot-add path a serving
 // daemon uses when a rig is cabled up. The atomic swap of the station's
 // home-shard list is the commit point at which concurrent
-// Snapshot/scrape/StepAll callers begin to see the station.
+// Snapshot/scrape/StepAll callers begin to see the station. The
+// source's pipeline stages record into the manager's StageHists.
 func (m *Manager) Add(name, kind string, src source.Source) (*Device, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.byName[name]; dup {
 		return nil, fmt.Errorf("fleet: duplicate station %q", name)
 	}
-	s := shardOf(name, len(m.shards))
-	sh := &m.shards[s]
-	d := newDevice(name, kind, src, m.cfg, &sh.clock, m.foldHist.Stripe(s), &m.histQueryHist, m.events)
+	m.stageHists.Bind(src)
+	sh := &m.shards[shardOf(name, len(m.shards))]
+	d := newDevice(name, kind, src, m.cfg, &sh.clock, &m.foldHist, &m.histQueryHist, m.events)
 	old := sh.list()
 	at := sort.Search(len(old), func(i int) bool { return old[i].name > name })
 	next := slices.Insert(slices.Clip(old), at, d) // a copy: readers hold old
@@ -338,10 +340,16 @@ func (m *Manager) Events() *obs.EventRing { return m.events }
 // downsample accumulators, staging area and published cells, excluding
 // the source's own ReadInto. To keep the hot path inside its overhead
 // budget the fold is timed on a 1-in-foldSampleEvery read sample, so the
-// histogram holds a uniform sample of reads, not every read. The
-// histogram is striped per shard (each station records into its home
-// shard's stripe); Snapshot and Count present the fleet-wide sum.
-func (m *Manager) IngestFoldHist() *obs.ShardedHist { return m.foldHist }
+// histogram holds a uniform sample of reads, not every read.
+func (m *Manager) IngestFoldHist() *obs.Hist { return &m.foldHist }
+
+// StageHists returns the ReadInto latency histograms of the pipeline
+// stages of this manager's stations, one per stage kind (indexed like
+// pipeline.Stages). Add binds each station's chain of stages down to the
+// first source that is not a stage (see pipeline.Hists.Bind), so a chain
+// whose outermost source is some other wrapper, such as perfbench's
+// --trace timing wrappers, records nothing here.
+func (m *Manager) StageHists() *pipeline.Hists { return &m.stageHists }
 
 // PaceLatenessHist returns the distribution of pacer lateness on paced
 // fleets (Config.Rate > 0): how far past its absolute schedule each fleet

@@ -53,7 +53,7 @@ func CalibratePerChannel(gain, offset []float64) Stage {
 func newCalibrate(gains, offs [source.MaxChannels]float64) Stage {
 	return func(inner source.Source) source.Source {
 		return &calibrator{
-			wrap:  wrap{inner: inner, meta: derive(inner, "calib", 0)},
+			wrap:  derive(inner, "calib", 0),
 			gains: gains,
 			offs:  offs,
 			lastT: inner.Now(),
@@ -91,7 +91,7 @@ func (c *calibrator) ReadInto(d time.Duration, b *source.Batch) error {
 		c.joule += total * (t - c.lastT).Seconds()
 		c.lastT = t
 	}
-	calibHist.Record(time.Since(began))
+	c.record(time.Since(began))
 	return err
 }
 

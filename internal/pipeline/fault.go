@@ -72,7 +72,7 @@ func Dropout(p float64, dur time.Duration, seed uint64) Stage {
 	}
 	return func(inner source.Source) source.Source {
 		return &dropout{
-			wrap: wrap{inner: inner, meta: derive(inner, "dropout", 0)},
+			wrap: derive(inner, "dropout", 0),
 			win:  faultWindows{rng: rng.New(seed), p: p, dur: dur},
 		}
 	}
@@ -119,7 +119,7 @@ func (f *dropout) ReadInto(d time.Duration, b *source.Batch) error {
 	b.Total = b.Total[:w]
 	b.Chans = b.Chans[:w*stride]
 	b.Marks = marks[:marksW]
-	dropoutHist.Record(time.Since(began))
+	f.record(time.Since(began))
 	return err
 }
 
@@ -143,7 +143,7 @@ func Stuck(p float64, dur time.Duration, seed uint64) Stage {
 	}
 	return func(inner source.Source) source.Source {
 		return &stuck{
-			wrap: wrap{inner: inner, meta: derive(inner, "stuck", 0)},
+			wrap: derive(inner, "stuck", 0),
 			win:  faultWindows{rng: rng.New(seed), p: p, dur: dur},
 		}
 	}
@@ -176,7 +176,7 @@ func (f *stuck) ReadInto(d time.Duration, b *source.Batch) error {
 		f.heldT = b.Total[i]
 		f.primed = true
 	}
-	stuckHist.Record(time.Since(began))
+	f.record(time.Since(began))
 	return err
 }
 
@@ -200,7 +200,7 @@ func Spike(p, mag float64, seed uint64) Stage {
 	}
 	return func(inner source.Source) source.Source {
 		return &spiker{
-			wrap: wrap{inner: inner, meta: derive(inner, "spike", 0)},
+			wrap: derive(inner, "spike", 0),
 			rng:  rng.New(seed),
 			p:    p,
 			mag:  mag,
@@ -232,7 +232,7 @@ func (f *spiker) ReadInto(d time.Duration, b *source.Batch) error {
 			row[m] *= f.mag
 		}
 	}
-	spikeHist.Record(time.Since(began))
+	f.record(time.Since(began))
 	return err
 }
 
@@ -252,7 +252,7 @@ func Skew(ppm float64) Stage {
 	}
 	return func(inner source.Source) source.Source {
 		return &skewer{
-			wrap: wrap{inner: inner, meta: derive(inner, "skew", 0)},
+			wrap: derive(inner, "skew", 0),
 			f:    ppm * 1e-6,
 		}
 	}
@@ -280,7 +280,7 @@ func (f *skewer) ReadInto(d time.Duration, b *source.Batch) error {
 	for i, t := range b.Time {
 		b.Time[i] = t + time.Duration(float64(t)*f.f)
 	}
-	skewHist.Record(time.Since(began))
+	f.record(time.Since(began))
 	return err
 }
 
@@ -297,7 +297,7 @@ func Jitter(sd time.Duration, seed uint64) Stage {
 	}
 	return func(inner source.Source) source.Source {
 		return &jitterer{
-			wrap: wrap{inner: inner, meta: derive(inner, "jitter", 0)},
+			wrap: derive(inner, "jitter", 0),
 			rng:  rng.New(seed),
 			sd:   float64(sd),
 		}
@@ -324,6 +324,6 @@ func (f *jitterer) ReadInto(d time.Duration, b *source.Batch) error {
 		b.Time[i] = t
 		f.lastOut = t
 	}
-	jitterHist.Record(time.Since(began))
+	f.record(time.Since(began))
 	return err
 }

@@ -44,57 +44,51 @@
 package pipeline
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/source"
 )
 
-// Per-stage ReadInto latency histograms, process-wide: every instance of
-// a stage kind records into the same histogram, deepening the cumulative
-// overhead-seconds counter (source.Overheader) into a distribution. Each
-// observation spans the stage's whole ReadInto — the inner source's read
-// included — so an outer stage's distribution dominates the stages below
-// it, mirroring how RateLimit's Overhead already accounts nesting. The
-// histograms are obs.Hist: lock-free and allocation-free to record, so
-// the stages keep their steady-state zero-allocation contract.
-var (
-	resampleHist  obs.Hist
-	calibHist     obs.Hist
-	rateLimitHist obs.Hist
-	smoothHist    obs.Hist
-	dropoutHist   obs.Hist
-	stuckHist     obs.Hist
-	spikeHist     obs.Hist
-	skewHist      obs.Hist
-	jitterHist    obs.Hist
-)
+// Stages names every stage kind by the backend "+suffix" tag the stage
+// adds in derive, in the order Hists indexes them.
+var Stages = [...]string{"resample", "calib", "ratelimit", "smooth",
+	"dropout", "stuck", "spike", "skew", "jitter"}
 
-// StageHist pairs a stage kind's name — the backend "+suffix" tag the
-// stage adds in derive — with its process-wide ReadInto latency
-// histogram.
-type StageHist struct {
-	Stage string
-	Hist  *obs.Hist
+// Hists holds one ReadInto latency histogram per stage kind, indexed like
+// Stages, deepening the cumulative overhead-seconds counter
+// (source.Overheader) into a distribution. Each observation spans the
+// stage's whole ReadInto — the inner source's read included — so an outer
+// stage's distribution dominates the stages below it, mirroring how
+// RateLimit's Overhead already accounts nesting. The histograms are
+// obs.Hist: lock-free and allocation-free to record, so the stages keep
+// their steady-state zero-allocation contract. A fleet manager owns one
+// Hists and binds every station's chain to it, so two managers in one
+// process keep separate counts.
+type Hists [len(Stages)]obs.Hist
+
+// Bind points every stage of src's chain at h, so each records its
+// ReadInto latency into its kind's histogram. The walk starts at src and
+// goes inward through the stages this package built; it stops at the
+// first source that is not one — the backend, or another package's
+// wrapper, whose stages below then stay unbound. An unbound stage records
+// nothing. Stages are single-goroutine confined, so Bind belongs before
+// the first read.
+func (h *Hists) Bind(src source.Source) {
+	for {
+		s, ok := src.(staged)
+		if !ok {
+			return
+		}
+		w := s.base()
+		w.hist = &h[w.kind]
+		src = w.inner
+	}
 }
 
-// stageHists is the fixed, ordered registry ReadHists exposes.
-var stageHists = []StageHist{
-	{"resample", &resampleHist},
-	{"calib", &calibHist},
-	{"ratelimit", &rateLimitHist},
-	{"smooth", &smoothHist},
-	{"dropout", &dropoutHist},
-	{"stuck", &stuckHist},
-	{"spike", &spikeHist},
-	{"skew", &skewHist},
-	{"jitter", &jitterHist},
-}
-
-// ReadHists returns every stage kind's latency histogram in a fixed
-// order, for exporters rendering the powersensor_self_stage_read_seconds
-// family. The returned slice is shared — treat it as read-only.
-func ReadHists() []StageHist { return stageHists }
+// staged is implemented by every stage through its embedded wrap.
+type staged interface{ base() *wrap }
 
 // Stage derives a new source from an inner one. Stages returned by this
 // package wrap the inner source in place — they do not copy its stream —
@@ -113,26 +107,38 @@ func Chain(src source.Source, stages ...Stage) source.Source {
 	return src
 }
 
-// wrap is the shared base of every stage: it holds the inner source and
-// the stage's rewritten Meta, and delegates the Source methods a stage
-// does not transform. Stages embed it and override what they change.
+// wrap is the shared base of every stage: it holds the inner source, the
+// stage's rewritten Meta and its kind's latency histogram once bound, and
+// delegates the Source methods a stage does not transform. Stages embed
+// it and override what they change.
 type wrap struct {
 	inner source.Source
 	meta  source.Meta
+	kind  int       // index into Stages
+	hist  *obs.Hist // nil until Bind
 }
 
-// derive builds a stage's Meta from the inner source's: the backend name
-// gains a "+suffix" tag, rateHz (when positive) replaces the delivered
-// rate, and the channel labels become the stage's own copy so no slice is
-// shared across the layer boundary.
-func derive(inner source.Source, suffix string, rateHz float64) source.Meta {
+// derive builds a stage's base from the inner source and the stage kind
+// (one of Stages): the backend name gains a "+kind" tag, rateHz (when
+// positive) replaces the delivered rate, and the channel labels become
+// the stage's own copy so no slice is shared across the layer boundary.
+func derive(inner source.Source, kind string, rateHz float64) wrap {
 	m := inner.Meta()
-	m.Backend += "+" + suffix
+	m.Backend += "+" + kind
 	if rateHz > 0 {
 		m.RateHz = rateHz
 	}
 	m.Channels = append([]string(nil), m.Channels...)
-	return m
+	return wrap{inner: inner, meta: m, kind: slices.Index(Stages[:], kind)}
+}
+
+func (w *wrap) base() *wrap { return w }
+
+// record adds one ReadInto latency to the stage's bound histogram.
+func (w *wrap) record(d time.Duration) {
+	if w.hist != nil {
+		w.hist.Record(d)
+	}
 }
 
 // Meta implements source.Source with the stage's rewritten metadata.

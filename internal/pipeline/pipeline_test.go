@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -348,37 +349,40 @@ func TestChainSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStageHistsRecord: every stage kind records its ReadInto latency
-// into its process-wide histogram. The hists are shared package state, so
-// the test asserts deltas, not absolute counts.
+// TestStageHistsRecord: a chain bound to a Hists records one observation
+// per ReadInto into each of its stages' kinds. A chain never bound, read
+// alongside, adds nothing to it, and Bind through a wrapper that is not a
+// stage binds nothing.
 func TestStageHistsRecord(t *testing.T) {
-	hists := ReadHists()
-	before := make(map[string]uint64, len(hists))
-	for _, sh := range hists {
-		before[sh.Stage] = sh.Hist.Count()
+	chain := func() source.Source {
+		return Chain(newFake(20000, nil),
+			Dropout(0.1, time.Millisecond, 1), Stuck(0.1, time.Millisecond, 2),
+			Spike(0.01, 10, 3), Skew(100), Jitter(10*time.Microsecond, 4),
+			Resample(1000), Calibrate(0.98, 0), RateLimit(100), Smooth(50*time.Millisecond))
 	}
-	src := Chain(newFake(20000, nil),
-		Dropout(0.1, time.Millisecond, 1), Stuck(0.1, time.Millisecond, 2),
-		Spike(0.01, 10, 3), Skew(100), Jitter(10*time.Microsecond, 4),
-		Resample(1000), Calibrate(0.98, 0), RateLimit(100), Smooth(50*time.Millisecond))
+	var bound, hidden Hists
+	src, unbound, wrapped := chain(), chain(), chain()
+	bound.Bind(src)
+	hidden.Bind(struct{ source.Source }{wrapped})
+	const reads = 7
 	var b source.Batch
-	src.ReadInto(100*time.Millisecond, &b)
-	for _, sh := range hists {
-		if got := sh.Hist.Count(); got <= before[sh.Stage] {
-			t.Errorf("stage %q histogram did not advance (%d -> %d)",
-				sh.Stage, before[sh.Stage], got)
+	for i := 0; i < reads; i++ {
+		for _, s := range []source.Source{src, unbound, wrapped} {
+			s.ReadInto(10*time.Millisecond, &b)
 		}
 	}
-	// The stage set matches the backend tags stages append to Meta.
+	for i, kind := range Stages {
+		if n := bound[i].Count(); n != reads {
+			t.Errorf("stage %q recorded %d reads, want %d", kind, n, reads)
+		}
+		if n := hidden[i].Count(); n != 0 {
+			t.Errorf("stage %q bound through a foreign wrapper recorded %d reads, want 0", kind, n)
+		}
+	}
 	want := []string{"resample", "calib", "ratelimit", "smooth",
 		"dropout", "stuck", "spike", "skew", "jitter"}
-	if len(hists) != len(want) {
-		t.Fatalf("ReadHists returned %d stages, want %d", len(hists), len(want))
-	}
-	for i, w := range want {
-		if hists[i].Stage != w {
-			t.Errorf("stage %d = %q, want %q", i, hists[i].Stage, w)
-		}
+	if !slices.Equal(Stages[:], want) {
+		t.Errorf("Stages = %v, want %v", Stages, want)
 	}
 }
 

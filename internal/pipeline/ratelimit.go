@@ -44,7 +44,7 @@ func RateLimit(maxHz float64) Stage {
 			rate = in / math.Ceil(in/maxHz)
 		}
 		return &rateLimiter{
-			wrap: wrap{inner: inner, meta: derive(inner, "ratelimit", rate)},
+			wrap: derive(inner, "ratelimit", rate),
 			min:  time.Duration(float64(time.Second) / maxHz),
 		}
 	}
@@ -96,7 +96,7 @@ func (l *rateLimiter) ReadInto(d time.Duration, b *source.Batch) error {
 	// counter and the stage's latency distribution.
 	el := time.Since(began)
 	l.overhead += el
-	rateLimitHist.Record(el)
+	l.record(el)
 	return err
 }
 

@@ -34,7 +34,7 @@ func Resample(outHz float64) Stage {
 	}
 	return func(inner source.Source) source.Source {
 		return &resampler{
-			wrap:   wrap{inner: inner, meta: derive(inner, "resample", outHz)},
+			wrap:   derive(inner, "resample", outHz),
 			period: time.Duration(float64(time.Second) / outHz),
 		}
 	}
@@ -106,7 +106,7 @@ func (r *resampler) ReadInto(d time.Duration, b *source.Batch) error {
 			r.emit(b, stride) // timestamps never decrease: the bin is full
 		}
 	}
-	resampleHist.Record(time.Since(began))
+	r.record(time.Since(began))
 	return err
 }
 

@@ -26,7 +26,7 @@ func Smooth(tau time.Duration) Stage {
 	return func(inner source.Source) source.Source {
 		period := 1.0 / inner.Meta().RateHz
 		return &smoother{
-			wrap:  wrap{inner: inner, meta: derive(inner, "smooth", 0)},
+			wrap:  derive(inner, "smooth", 0),
 			alpha: 1 - math.Exp(-period/tau.Seconds()),
 		}
 	}
@@ -64,6 +64,6 @@ func (s *smoother) ReadInto(d time.Duration, b *source.Batch) error {
 		s.total += s.alpha * (b.Total[i] - s.total)
 		b.Total[i] = s.total
 	}
-	smoothHist.Record(time.Since(began))
+	s.record(time.Since(began))
 	return err
 }
