@@ -133,8 +133,8 @@
 //
 // The steady-state sample path allocates nothing, by contract: batches
 // reuse their caller-owned columns, downsample blocks accumulate into
-// fixed-size running sums, and ring points copy into a flat per-ring
-// float64 arena preallocated at construction (regression-tested with
+// fixed-size running sums, and ring points copy into pointer-free
+// per-field columns preallocated at construction (regression-tested with
 // testing.AllocsPerRun in internal/source and internal/fleet). The
 // scrape path is decoupled from ingest: each station publishes its
 // telemetry through per-field atomic cells refreshed at block and step

@@ -34,9 +34,10 @@
 // the in-flight downsample block into the ring and history before the
 // source is released. The ingest path is allocation-free in steady
 // state: batches reuse caller-owned columns, block accumulators are
-// fixed-size, ring points write into a preallocated flat arena, and
-// history allocates only when it seals a block. internal/export serves
-// the manager over HTTP.
+// fixed-size, ring points write into preallocated pointer-free columns
+// (about 40 B plus 8 B per channel per point, none of it scanned by the
+// garbage collector), and history allocates only when it seals a block.
+// internal/export serves the manager over HTTP.
 //
 // # Fault injection & station health
 //

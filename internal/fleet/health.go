@@ -304,8 +304,10 @@ func (d *Device) despike(b *source.Batch, end time.Duration) {
 	w := &d.wd
 	totals := b.Total
 	stride := d.chans
-	prev := w.spikePrev
-	if w.spikeN == 0 {
+	// The gate state lives in locals for the loop and is stored back once
+	// per read, so the per-sample updates stay in registers.
+	prev, dev, seen := w.spikePrev, w.spikeDev, w.spikeN
+	if seen == 0 {
 		prev = totals[0]
 	}
 	quarantined := 0
@@ -315,8 +317,8 @@ func (d *Device) despike(b *source.Batch, end time.Duration) {
 		if diff < 0 {
 			diff = -diff
 		}
-		if w.spikeN >= spikeArm {
-			if thr := spikeGateK * w.spikeDev; diff > thr && i+1 < n {
+		if seen >= spikeArm {
+			if thr := spikeGateK * dev; diff > thr && i+1 < n {
 				next := totals[i+1]
 				dNext := x - next
 				if dNext < 0 {
@@ -342,11 +344,11 @@ func (d *Device) despike(b *source.Batch, end time.Duration) {
 				}
 			}
 		}
-		w.spikeDev += spikeAlpha * (diff - w.spikeDev)
-		w.spikeN++
+		dev += spikeAlpha * (diff - dev)
+		seen++
 		prev = x
 	}
-	w.spikePrev = prev
+	w.spikePrev, w.spikeDev, w.spikeN = prev, dev, seen
 	if quarantined > 0 {
 		w.spikesQ += uint64(quarantined)
 		w.spikeUntil = end + spikeRecover

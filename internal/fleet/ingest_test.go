@@ -215,9 +215,10 @@ func TestDeviceChannelsCopiedFromSource(t *testing.T) {
 
 // BenchmarkFleetIngestFold is the per-station ingest hot path in
 // isolation: folding prefilled columnar batches into a device — the
-// per-sample accumulate, block emit, ring push and telemetry publish,
-// with no source behind it. perfbench's fleet.step_self_ns_per_sample
-// row covers the same fold inside whole steps of a served fleet.
+// spike gate, per-sample accumulate, block emit, ring push and telemetry
+// publish, the same work the fold histogram times, with no source behind
+// it. perfbench's fleet.step_self_ns_per_sample row covers the same fold
+// inside whole steps of a served fleet.
 func BenchmarkFleetIngestFold(b *testing.B) {
 	_, d := stubDevice(b)
 	var batch source.Batch
@@ -232,6 +233,7 @@ func BenchmarkFleetIngestFold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		d.despike(&batch, 0)
 		d.ingestBatch(&batch)
 		d.flush()
 		d.publish()

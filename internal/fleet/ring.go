@@ -1,10 +1,11 @@
-// The per-station downsample ring: fixed-capacity, arena-backed storage
+// The per-station downsample ring: fixed-capacity, column-major storage
 // for the block statistics the fleet publishes. See doc.go for the
 // package overview.
 
 package fleet
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -29,22 +30,29 @@ type Point struct {
 }
 
 // Ring is a fixed-capacity overwrite-oldest buffer of Points with one
-// writer and any number of readers. Every point's Watts row lives in one
-// flat float64 arena preallocated at construction, so pushing a point
-// copies a few floats into a recycled slot and never allocates — the
-// 20 kHz ingest path touches the ring once per step, holding the lock
-// only to copy that step's points in or a bounded batch out.
+// writer and any number of readers. It stores its points column-major:
+// one preallocated slice per Point field, and every point's Watts row in
+// one flat float64 arena with stride Chans. No column holds a pointer,
+// so a slot costs 36 B plus 8 B per channel and the garbage collector
+// never scans the ring's contents. Pushing copies a few floats into
+// recycled slots and never allocates — the 20 kHz ingest path touches
+// the ring once per step, holding the lock only to copy that step's
+// points in or a bounded batch out.
 //
 // Because slots are recycled on wraparound, readers never receive views
-// into the arena: Snapshot deep-copies the points it returns.
+// into the columns: Snapshot assembles deep-copied Points.
 type Ring struct {
-	mu    sync.Mutex
-	buf   []Point   // len == capacity; Watts pre-bound to arena slots
-	arena []float64 // capacity × chans flat backing for every Watts row
-	chans int
-	n     int    // points currently held
-	next  int    // buf index the next push writes
-	total uint64 // points ever pushed
+	mu     sync.Mutex
+	times  []time.Duration // len == capacity, like every column
+	totals []float64
+	mins   []float64
+	maxs   []float64
+	marks  []int32   // saturating; a block never holds 2³¹ samples
+	watts  []float64 // capacity × chans: slot i's row is watts[i*chans:(i+1)*chans]
+	chans  int
+	n      int    // points currently held
+	next   int    // slot the next push writes
+	total  uint64 // points ever pushed
 }
 
 // NewRing returns a ring holding the last capacity points of chans
@@ -57,16 +65,20 @@ func NewRing(capacity, chans int) *Ring {
 	if chans < 0 {
 		panic("fleet: NewRing with negative channel count")
 	}
-	r := &Ring{buf: make([]Point, capacity), arena: make([]float64, capacity*chans), chans: chans}
-	for i := range r.buf {
-		r.buf[i].Watts = r.arena[i*chans : (i+1)*chans : (i+1)*chans]
+	return &Ring{
+		times:  make([]time.Duration, capacity),
+		totals: make([]float64, capacity),
+		mins:   make([]float64, capacity),
+		maxs:   make([]float64, capacity),
+		marks:  make([]int32, capacity),
+		watts:  make([]float64, capacity*chans),
+		chans:  chans,
 	}
-	return r
 }
 
 // Cap returns the ring's capacity. It is fixed at construction, so Cap
 // takes no lock.
-func (r *Ring) Cap() int { return len(r.buf) }
+func (r *Ring) Cap() int { return len(r.times) }
 
 // Chans returns the per-point channel count.
 func (r *Ring) Chans() int { return r.chans }
@@ -76,23 +88,36 @@ func (r *Ring) Chans() int { return r.chans }
 // step and pushes them together, instead of paying a lock round-trip per
 // block. watts is sample-major with the ring's channel stride (point i's
 // row is watts[i*chans:(i+1)*chans]); times, totals, mins, maxs and marks
-// hold one entry per point. PushN copies everything, so the caller may
-// reuse its buffers, and never allocates.
+// hold one entry per point. Of a batch longer than the capacity only the
+// newest Cap points are kept, as if pushed one by one. Each column is
+// copied in at most two contiguous runs, split at the wrap. PushN copies
+// everything, so the caller may reuse its buffers, and never allocates.
 func (r *Ring) PushN(times []time.Duration, watts []float64, totals, mins, maxs []float64, marks []int) {
+	k := len(times)
+	c := len(r.times)
+	ch := r.chans
 	r.mu.Lock()
-	for i, t := range times {
-		p := &r.buf[r.next]
-		p.Time, p.Total, p.Min, p.Max, p.Marks = t, totals[i], mins[i], maxs[i], marks[i]
-		copy(p.Watts, watts[i*r.chans:(i+1)*r.chans])
-		r.next++
-		if r.next == len(r.buf) {
-			r.next = 0
-		}
-		if r.n < len(r.buf) {
-			r.n++
-		}
+	r.total += uint64(k)
+	src := 0
+	if k > c {
+		src = k - c // the older points would be overwritten within this call
 	}
-	r.total += uint64(len(times))
+	for src < k {
+		dst := r.next
+		run := min(k-src, c-dst)
+		end := src + run
+		copy(r.times[dst:], times[src:end])
+		copy(r.totals[dst:], totals[src:end])
+		copy(r.mins[dst:], mins[src:end])
+		copy(r.maxs[dst:], maxs[src:end])
+		for j, m := range marks[src:end] {
+			r.marks[dst+j] = int32(min(m, math.MaxInt32))
+		}
+		copy(r.watts[dst*ch:], watts[src*ch:end*ch])
+		src = end
+		r.next = (dst + run) % c
+		r.n = min(r.n+run, c)
+	}
 	r.mu.Unlock()
 }
 
@@ -126,20 +151,30 @@ func (r *Ring) Snapshot(max int) []Point {
 	if n == 0 {
 		return nil
 	}
+	c := len(r.times)
+	ch := r.chans
 	out := make([]Point, n)
-	watts := make([]float64, n*r.chans)
-	// Oldest-first order starts at r.next when full, at 0 while filling.
-	start := 0
-	if r.n == len(r.buf) {
-		start = r.next
+	watts := make([]float64, n*ch)
+	// The newest point sits just before r.next, so the n newest start n
+	// slots earlier.
+	start := (r.next - n + c) % c
+	idx := start
+	for i := range out {
+		out[i] = Point{
+			Time:  r.times[idx],
+			Watts: watts[i*ch : (i+1)*ch : (i+1)*ch],
+			Total: r.totals[idx],
+			Min:   r.mins[idx],
+			Max:   r.maxs[idx],
+			Marks: int(r.marks[idx]),
+		}
+		if idx++; idx == c {
+			idx = 0
+		}
 	}
-	// Skip (held-n) oldest entries when a cap was requested.
-	start = (start + r.n - n) % len(r.buf)
-	for i := 0; i < n; i++ {
-		src := &r.buf[(start+i)%len(r.buf)]
-		out[i] = *src
-		out[i].Watts = watts[i*r.chans : (i+1)*r.chans : (i+1)*r.chans]
-		copy(out[i].Watts, src.Watts)
-	}
+	// The Watts rows of consecutive slots are contiguous in the arena, so
+	// they copy in at most two runs, split at the wrap.
+	head := copy(watts, r.watts[start*ch:])
+	copy(watts[head:], r.watts)
 	return out
 }

@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"math"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -133,6 +136,130 @@ func TestRingMarksTravel(t *testing.T) {
 	if snap[0].Marks != 3 {
 		t.Errorf("PushN marks = %d, want 3", snap[0].Marks)
 	}
+	// The marks column is 32-bit: a larger count saturates instead of
+	// wrapping.
+	r.PushN(times, []float64{1}, []float64{1}, []float64{1}, []float64{1}, []int{math.MaxInt})
+	if got := r.Snapshot(1)[0].Marks; got != math.MaxInt32 {
+		t.Errorf("oversized marks = %d, want %d", got, math.MaxInt32)
+	}
+}
+
+// TestRingMatchesModel drives the ring and a naive append-only slice of
+// every point ever pushed through the same random PushN calls, at
+// capacities on both sides of the batch sizes (so single calls overrun
+// the ring) and at every small channel count, checking every field of
+// every snapshot point after each call.
+func TestRingMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, capacity := range []int{1, 3, 7, 2048} {
+		for chans := 0; chans <= 3; chans++ {
+			r := NewRing(capacity, chans)
+			var model []Point
+			for call := 0; call < 600; call++ {
+				k := rng.Intn(2*pendCap + 1)
+				times := make([]time.Duration, k)
+				watts := make([]float64, k*chans)
+				totals, mins, maxs := make([]float64, k), make([]float64, k), make([]float64, k)
+				marks := make([]int, k)
+				for i := 0; i < k; i++ {
+					p := Point{
+						Time:  time.Duration(len(model)) * time.Millisecond,
+						Watts: make([]float64, chans),
+						Total: rng.NormFloat64(),
+						Min:   rng.NormFloat64(),
+						Max:   rng.NormFloat64(),
+					}
+					if rng.Intn(4) == 0 {
+						p.Marks = 1 + rng.Intn(3)
+					}
+					for m := range p.Watts {
+						p.Watts[m] = rng.NormFloat64()
+					}
+					times[i], totals[i], mins[i], maxs[i], marks[i] = p.Time, p.Total, p.Min, p.Max, p.Marks
+					copy(watts[i*chans:], p.Watts)
+					model = append(model, p)
+				}
+				r.PushN(times, watts, totals, mins, maxs, marks)
+
+				held := min(len(model), capacity)
+				if r.Len() != held || r.Total() != uint64(len(model)) {
+					t.Fatalf("cap %d chans %d call %d: Len=%d Total=%d, want %d, %d",
+						capacity, chans, call, r.Len(), r.Total(), held, len(model))
+				}
+				max := rng.Intn(capacity+3) - 1 // non-positive, capped and oversized
+				n := held
+				if max > 0 && max < n {
+					n = max
+				}
+				var want []Point
+				if n > 0 {
+					want = model[len(model)-n:]
+				}
+				got := r.Snapshot(max)
+				if !samePoints(got, want) {
+					t.Fatalf("cap %d chans %d call %d: Snapshot(%d) = %v, want %v",
+						capacity, chans, call, max, got, want)
+				}
+				// A returned row is the caller's: writing it must not
+				// reach the ring.
+				if len(got) > 0 && chans > 0 {
+					got[len(got)-1].Watts[chans-1] = math.Inf(1)
+					if again := r.Snapshot(max); !samePoints(again, want) {
+						t.Fatalf("cap %d chans %d call %d: snapshot write reached the ring: %v",
+							capacity, chans, call, again)
+					}
+				}
+			}
+		}
+	}
+}
+
+// samePoints reports whether a and b hold the same points, comparing
+// every field and every Watts row; a nil result equals only nil.
+func samePoints(a, b []Point) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		p, q := &a[i], &b[i]
+		if p.Time != q.Time || p.Total != q.Total || p.Min != q.Min || p.Max != q.Max ||
+			p.Marks != q.Marks || len(p.Watts) != len(q.Watts) || (p.Watts == nil) != (q.Watts == nil) {
+			return false
+		}
+		for m := range p.Watts {
+			if p.Watts[m] != q.Watts[m] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// ringSink makes TestRingFootprint's rings escape to the heap, where
+// TotalAlloc counts them.
+var ringSink *Ring
+
+// TestRingFootprint pins the column layout's size: a slot costs at most
+// 40 B of scalar columns plus 8 B per channel, and nothing else grows
+// with the capacity. Not parallel: it reads the process-wide allocation
+// counter, and keeps the smallest of three tries so that a stray
+// background allocation cannot fail it.
+func TestRingFootprint(t *testing.T) {
+	const capacity, chans = 4096, 3
+	const limit = capacity*(40+8*chans) + 1024
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ringSink = NewRing(capacity, chans)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	ringSink = nil
+	if least > limit {
+		t.Errorf("NewRing(%d, %d) allocates %d B (%.1f B/point), want at most %d",
+			capacity, chans, least, float64(least)/capacity, limit)
+	}
 }
 
 func TestRingCapacityValidation(t *testing.T) {
@@ -189,4 +316,30 @@ func TestRingConcurrentIngestRead(t *testing.T) {
 	if r.Total() != points {
 		t.Fatalf("Total = %d, want %d", r.Total(), points)
 	}
+}
+
+// BenchmarkRingPushN is the ring's write path at the ingest-20k shape:
+// 512 rings of capacity 2048, pushed round-robin so that each push lands
+// in a cache-cold ring, five points per op — one default step's worth.
+func BenchmarkRingPushN(b *testing.B) {
+	const rings, capacity, chans, k = 512, 2048, 3, 5
+	rs := make([]*Ring, rings)
+	for i := range rs {
+		rs[i] = NewRing(capacity, chans)
+	}
+	times := make([]time.Duration, k)
+	watts := make([]float64, k*chans)
+	totals, mins, maxs := make([]float64, k), make([]float64, k), make([]float64, k)
+	marks := make([]int, k)
+	for i := range times {
+		times[i] = time.Duration(i) * time.Millisecond
+		totals[i], mins[i], maxs[i] = 60, 59, 61
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs[i%rings].PushN(times, watts, totals, mins, maxs, marks)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/k, "ns/point")
 }
