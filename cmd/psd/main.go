@@ -59,7 +59,7 @@
 //	             (20 → 1 ms points); each station derives its own block size
 //	             from that window and its source's native rate
 //	-ring        per-station ring capacity, in downsampled points; each
-//	             point costs about 40 + 8 × channels bytes (256 KiB per
+//	             point costs about 20 + 8 × channels bytes (176 KiB per
 //	             3-channel station at the default 4096)
 //	-shards      fleet shard count (1–64; default 8). Stations hash to shards
 //	             by name; each shard keeps its own device list and cached
@@ -231,7 +231,7 @@ func main() {
 	rate := flag.Float64("rate", 1, "virtual seconds per wall second (0 = unpaced)")
 	slice := flag.Duration("slice", 5*time.Millisecond, "virtual-time quantum per iteration")
 	block := flag.Int("block", 20, "sample sets averaged per ring point")
-	ring := flag.Int("ring", 4096, "per-station ring capacity in points (about 40 + 8 × channels bytes each)")
+	ring := flag.Int("ring", 4096, "per-station ring capacity in points (about 20 + 8 × channels bytes each)")
 	shards := flag.Int("shards", 8, "fleet shard count and stepping parallelism, 1-64 (1 = unsharded, serial)")
 	histBytes := flag.Int("history", 0,
 		"per-station compressed history budget in bytes, >= 0 (0 = 1 MiB default)")

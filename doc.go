@@ -48,8 +48,9 @@
 //	  Resample               rate conversion by energy-conserving bin
 //	      │                  averaging; marker indices remapped so no
 //	      │                  time-synced mark is lost
-//	  Calibrate              per-channel gain/offset overlay applied in
-//	      │                  the batch fold (energy re-integrated)
+//	  Calibrate              uniform gain/offset on every channel,
+//	      │                  applied in the batch fold (energy
+//	      │                  re-integrated)
 //	  RateLimit              max delivered rate for polled meters, plus
 //	      │                  cumulative sampling-overhead accounting
 //	   Smooth                EWMA over Total and every channel

@@ -149,10 +149,7 @@ type scrapeState struct {
 
 // New returns an exporter over mgr.
 func New(mgr *fleet.Manager) *Exporter {
-	nsh := 1
-	if mgr != nil {
-		nsh = mgr.ShardCount()
-	}
+	nsh := mgr.ShardCount()
 	e := &Exporter{mgr: mgr, shards: make([]shardCache, nsh)}
 	for i := range e.shards {
 		e.shards[i].r = NewRenderer("")

@@ -747,3 +747,48 @@ func leafSpec(leaf, stations int) string {
 	}
 	return sb.String()
 }
+
+// TestHeadHealthzBody pins the /healthz tallies over live, killed and
+// never-reached leaves: a live leaf contributes its stations and its
+// unhealthy ones, a killed leaf's last-known stations all count as
+// degraded, a leaf never reached contributes none, and the head answers
+// 503 only once every leaf is down.
+func TestHeadHealthzBody(t *testing.T) {
+	liveMgr, kla, a := newLeaf(t, "a0=synth,a1=synth|dropout:1:1s")
+	// Long enough for the silent a1 to go stale.
+	liveMgr.StepAll(time.Second)
+	_, klb, b := newLeaf(t, "b0=synth,b1=synth,b2=synth")
+	never := httptest.NewServer(http.NotFoundHandler())
+	neverURL := never.URL
+	never.Close()
+	head := newHead(t, federation.Config{
+		Leaves: []federation.Leaf{
+			{Name: "a", URL: a.URL},
+			{Name: "b", URL: b.URL},
+			{Name: "never", URL: neverURL},
+		},
+		Timeout:       200 * time.Millisecond,
+		Retries:       -1,
+		FailThreshold: 100, // keep the breaker out of this test's way
+	})
+	ctx := context.Background()
+	h := head.Handler()
+	for _, step := range []struct {
+		downA, downB bool
+		wantCode     int
+		wantBody     string
+	}{
+		{false, false, http.StatusOK, `{"leaves":3,"up":2,"stations":5,"degraded":1}`},
+		{false, true, http.StatusOK, `{"leaves":3,"up":1,"stations":5,"degraded":4}`},
+		{true, true, http.StatusServiceUnavailable, `{"leaves":3,"up":0,"stations":5,"degraded":5}`},
+	} {
+		kla.down.Store(step.downA)
+		klb.down.Store(step.downB)
+		head.PollOnce(ctx)
+		code, body := get(t, h, "/healthz")
+		if code != step.wantCode || body != step.wantBody+"\n" {
+			t.Errorf("a down=%v, b down=%v: /healthz = %d %q, want %d %q",
+				step.downA, step.downB, code, body, step.wantCode, step.wantBody)
+		}
+	}
+}

@@ -280,15 +280,23 @@ func (h *Head) fleetJSON(w http.ResponseWriter, _ *http.Request) {
 // tallies while any leaf serves, 503 once every leaf is down — an
 // orchestrator should restart (or reroute from) a head only when its
 // whole downstream went dark, not when one leaf died. Station tallies
-// aggregate the merged view, stale stations counting as down.
+// are taken per leaf under its lock; a stale leaf's last-known stations
+// all count as degraded.
 func (h *Head) healthz(w http.ResponseWriter, _ *http.Request) {
 	up := h.UpCount()
-	merged := h.FleetView()
-	devs := make([]fleet.Status, len(merged.Devices))
-	for i := range merged.Devices {
-		devs[i] = merged.Devices[i].Status
+	var stations, degraded int
+	for _, ls := range h.leaves {
+		ls.mu.Lock()
+		if ls.view != nil {
+			n, deg, _ := fleet.AggregateHealth(ls.view.Devices)
+			if ls.stale {
+				deg = n
+			}
+			stations += n
+			degraded += deg
+		}
+		ls.mu.Unlock()
 	}
-	stations, degraded, _ := fleet.AggregateHealth(devs)
 	w.Header().Set("Content-Type", "application/json")
 	if len(h.leaves) > 0 && up == 0 {
 		w.WriteHeader(http.StatusServiceUnavailable)

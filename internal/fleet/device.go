@@ -203,8 +203,9 @@ type Device struct {
 	closed  bool
 
 	// In-flight downsample block: running sum/min/max of the summed power
-	// plus per-channel running sums — fixed-size accumulators, so folding
-	// a block performs no appends and no allocations.
+	// (min/max feed only the flatline detector, never the ring) plus
+	// per-channel running sums — fixed-size accumulators, so folding a
+	// block performs no appends and no allocations.
 	accN                   int
 	accMarks               int
 	accSum, accMin, accMax float64
@@ -220,8 +221,6 @@ type Device struct {
 	pendN     int
 	pendTime  [pendCap]time.Duration
 	pendTotal [pendCap]float64
-	pendMin   [pendCap]float64
-	pendMax   [pendCap]float64
 	pendMarks [pendCap]int
 	pendWatts [pendCap * source.MaxChannels]float64
 
@@ -484,8 +483,6 @@ func (d *Device) emit(t time.Duration) {
 	}
 	d.pendTime[d.pendN] = t
 	d.pendTotal[d.pendN] = mean
-	d.pendMin[d.pendN] = d.accMin
-	d.pendMax[d.pendN] = d.accMax
 	d.pendMarks[d.pendN] = d.accMarks
 	d.pendN++
 	d.observeFlat()
@@ -508,8 +505,7 @@ func (d *Device) flush() {
 		return
 	}
 	n := d.pendN
-	d.ring.PushN(d.pendTime[:n], d.pendWatts[:n*d.chans],
-		d.pendTotal[:n], d.pendMin[:n], d.pendMax[:n], d.pendMarks[:n])
+	d.ring.PushN(d.pendTime[:n], d.pendWatts[:n*d.chans], d.pendTotal[:n], d.pendMarks[:n])
 	d.hist.AppendN(d.pendTime[:n], d.pendTotal[:n])
 	d.ringTotal += uint64(n)
 	d.pendN = 0

@@ -184,7 +184,6 @@ const (
 // goroutine under Device.mu. All fixed-size, so the hot path stays
 // allocation-free.
 type watchdog struct {
-	rateHz     float64
 	gapAfter   float64       // gap-episode debt threshold, in samples
 	winDur     time.Duration // delivery-accounting window width
 	flatRunFor int           // identical blocks before a flatline episode
@@ -242,7 +241,6 @@ type watchdog struct {
 // shard clock. Called from newDevice.
 func (d *Device) initWatchdog(cfg Config) {
 	w := &d.wd
-	w.rateHz = d.meta.RateHz
 	w.lastGot = d.readAt
 	// One whole missing ring point is noise (resample lag, poll phase);
 	// two plus margin is a gap.
@@ -262,7 +260,7 @@ func (d *Device) initWatchdog(cfg Config) {
 	// polls of a coarse meter are coincidence, not a fault — and never
 	// fewer than flatMinSamples samples, so a slow quantised meter's
 	// legitimate plateaus stay below the bar.
-	blockDur := time.Duration(float64(d.block) / w.rateHz * float64(time.Second))
+	blockDur := time.Duration(float64(d.block) / d.meta.RateHz * float64(time.Second))
 	w.flatRunFor = 3
 	if blockDur > 0 {
 		if n := int(flatlineWindow / blockDur); n > w.flatRunFor {
@@ -405,7 +403,7 @@ func (d *Device) observeRead(dt time.Duration, got int, end time.Duration) {
 		// never starts; debt accounting would misread pipe-fill as a gap.
 		return
 	}
-	expect := w.rateHz * dt.Seconds()
+	expect := d.meta.RateHz * dt.Seconds()
 	w.gapDebt += expect - float64(got)
 	if w.gapDebt < 0 {
 		w.gapDebt = 0
@@ -557,7 +555,7 @@ func (d *Device) nextDue(end time.Duration) time.Duration {
 	if w.primed {
 		ahead(w.winEnd)
 		if !w.gapOpen {
-			ahead(end + time.Duration((w.gapAfter-w.gapDebt)/w.rateHz*float64(time.Second)) + 1)
+			ahead(end + time.Duration((w.gapAfter-w.gapDebt)/d.meta.RateHz*float64(time.Second)) + 1)
 		}
 	}
 	return due

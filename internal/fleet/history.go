@@ -41,12 +41,6 @@ func (d *Device) HistoryInto(dst []history.Point, from, to time.Duration) []hist
 	return d.hist.PointsInto(dst, from, to)
 }
 
-// HistoryBounds returns the timestamps of the oldest and newest history
-// points held, and whether any are held at all.
-func (d *Device) HistoryBounds() (first, last time.Duration, ok bool) {
-	return d.hist.Bounds()
-}
-
 // HistoryStats returns the station's history-tier accounting from the
 // series' atomic counters, so it is safe per station per scrape without
 // locks.

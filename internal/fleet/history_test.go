@@ -113,10 +113,11 @@ func TestRingWraparoundLosesNothing(t *testing.T) {
 	// The stub holds 60 W flat, so the trapezoid over the stored span is
 	// exact: the stub's joules less what it integrated before the first
 	// stored point.
-	first, _, ok := d.HistoryBounds()
-	if !ok {
+	pts := d.HistoryInto(nil, 0, st.Now)
+	if len(pts) == 0 {
 		t.Fatal("history holds no points")
 	}
+	first := pts[0].Time
 	got := d.EnergyWindow(0, st.Now)
 	want := st.Joules - 60*first.Seconds()
 	if rel := math.Abs(got-want) / want; rel > 1e-9 {

@@ -122,13 +122,13 @@ func TestRemoveDrainsFinalBlock(t *testing.T) {
 	// 25 samples at 20 kHz: one complete block-20 point plus 5 samples
 	// left in the in-flight accumulator.
 	m.StepAll(25 * stubPeriod)
-	if got := d.Ring().Total(); got != 1 {
+	if got := d.Ring().Len(); got != 1 {
 		t.Fatalf("ring holds %d points before remove, want 1", got)
 	}
 	if err := m.Remove("dev0"); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Ring().Total(); got != 2 {
+	if got := d.Ring().Len(); got != 2 {
 		t.Fatalf("ring holds %d points after remove, want 2 (drain point)", got)
 	}
 	snap := d.Ring().Snapshot(0)

@@ -326,9 +326,6 @@ func (m *Manager) Adopted() uint64 { return m.adopted.Load() }
 // Retired returns the number of stations ever retired by Remove.
 func (m *Manager) Retired() uint64 { return m.retired.Load() }
 
-// ShardAdopted returns the number of stations ever adopted into shard s.
-func (m *Manager) ShardAdopted(s int) uint64 { return m.shards[s].adopted.Load() }
-
 // Events returns the fleet's lifecycle event ring: one structured entry
 // per adopt/start/retire/close transition, oldest overwritten first once
 // the ring fills (Config.EventCap). The ring is safe for concurrent
@@ -438,11 +435,6 @@ func (m *Manager) Size() int {
 		n += len(m.shards[s].list())
 	}
 	return n
-}
-
-// ShardSize returns the number of stations in shard s.
-func (m *Manager) ShardSize(s int) int {
-	return len(m.shards[s].list())
 }
 
 // Start launches the fleet's pacer: one goroutine stepping every station

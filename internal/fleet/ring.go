@@ -19,10 +19,6 @@ type Point struct {
 	Watts []float64 `json:"w"`
 	// Total is the block-average of the summed (board) power.
 	Total float64 `json:"total"`
-	// Min and Max bound the summed power within the block, preserving the
-	// peaks that averaging alone would erase.
-	Min float64 `json:"min"`
-	Max float64 `json:"max"`
 	// Marks counts the time-synced user markers (source.Batch.Marks)
 	// carried by the block's samples, so a 20 kHz marker survives
 	// downsampling into its block's point instead of being averaged away.
@@ -33,11 +29,12 @@ type Point struct {
 // writer and any number of readers. It stores its points column-major:
 // one preallocated slice per Point field, and every point's Watts row in
 // one flat float64 arena with stride Chans. No column holds a pointer,
-// so a slot costs 36 B plus 8 B per channel and the garbage collector
-// never scans the ring's contents. Pushing copies a few floats into
-// recycled slots and never allocates — the 20 kHz ingest path touches
-// the ring once per step, holding the lock only to copy that step's
-// points in or a bounded batch out.
+// so a slot costs 20 B plus 8 B per channel (176 KiB for a 3-channel
+// station at capacity 4096) and the garbage collector never scans the
+// ring's contents. Pushing copies a few floats into recycled slots and
+// never allocates — the 20 kHz ingest path touches the ring once per
+// step, holding the lock only to copy that step's points in or a bounded
+// batch out.
 //
 // Because slots are recycled on wraparound, readers never receive views
 // into the columns: Snapshot assembles deep-copied Points.
@@ -45,14 +42,11 @@ type Ring struct {
 	mu     sync.Mutex
 	times  []time.Duration // len == capacity, like every column
 	totals []float64
-	mins   []float64
-	maxs   []float64
 	marks  []int32   // saturating; a block never holds 2³¹ samples
 	watts  []float64 // capacity × chans: slot i's row is watts[i*chans:(i+1)*chans]
 	chans  int
-	n      int    // points currently held
-	next   int    // slot the next push writes
-	total  uint64 // points ever pushed
+	n      int // points currently held
+	next   int // slot the next push writes
 }
 
 // NewRing returns a ring holding the last capacity points of chans
@@ -68,8 +62,6 @@ func NewRing(capacity, chans int) *Ring {
 	return &Ring{
 		times:  make([]time.Duration, capacity),
 		totals: make([]float64, capacity),
-		mins:   make([]float64, capacity),
-		maxs:   make([]float64, capacity),
 		marks:  make([]int32, capacity),
 		watts:  make([]float64, capacity*chans),
 		chans:  chans,
@@ -80,24 +72,20 @@ func NewRing(capacity, chans int) *Ring {
 // takes no lock.
 func (r *Ring) Cap() int { return len(r.times) }
 
-// Chans returns the per-point channel count.
-func (r *Ring) Chans() int { return r.chans }
-
 // PushN records k consecutive downsampled points under one lock
 // acquisition — the ingest path collects the blocks completed within one
 // step and pushes them together, instead of paying a lock round-trip per
 // block. watts is sample-major with the ring's channel stride (point i's
-// row is watts[i*chans:(i+1)*chans]); times, totals, mins, maxs and marks
-// hold one entry per point. Of a batch longer than the capacity only the
+// row is watts[i*chans:(i+1)*chans]); times, totals and marks hold one
+// entry per point. Of a batch longer than the capacity only the
 // newest Cap points are kept, as if pushed one by one. Each column is
 // copied in at most two contiguous runs, split at the wrap. PushN copies
 // everything, so the caller may reuse its buffers, and never allocates.
-func (r *Ring) PushN(times []time.Duration, watts []float64, totals, mins, maxs []float64, marks []int) {
+func (r *Ring) PushN(times []time.Duration, watts, totals []float64, marks []int) {
 	k := len(times)
 	c := len(r.times)
 	ch := r.chans
 	r.mu.Lock()
-	r.total += uint64(k)
 	src := 0
 	if k > c {
 		src = k - c // the older points would be overwritten within this call
@@ -108,8 +96,6 @@ func (r *Ring) PushN(times []time.Duration, watts []float64, totals, mins, maxs 
 		end := src + run
 		copy(r.times[dst:], times[src:end])
 		copy(r.totals[dst:], totals[src:end])
-		copy(r.mins[dst:], mins[src:end])
-		copy(r.maxs[dst:], maxs[src:end])
 		for j, m := range marks[src:end] {
 			r.marks[dst+j] = int32(min(m, math.MaxInt32))
 		}
@@ -126,14 +112,6 @@ func (r *Ring) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.n
-}
-
-// Total returns the number of points ever pushed; Total − Len is how many
-// were evicted by wraparound.
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }
 
 // Snapshot returns up to max of the most recent points, oldest first. A
@@ -164,8 +142,6 @@ func (r *Ring) Snapshot(max int) []Point {
 			Time:  r.times[idx],
 			Watts: watts[i*ch : (i+1)*ch : (i+1)*ch],
 			Total: r.totals[idx],
-			Min:   r.mins[idx],
-			Max:   r.maxs[idx],
 			Marks: int(r.marks[idx]),
 		}
 		if idx++; idx == c {

@@ -12,7 +12,7 @@ import (
 func push(r *Ring, i int) {
 	w := float64(i)
 	r.PushN([]time.Duration{time.Duration(i) * time.Millisecond}, []float64{w, w + 0.5},
-		[]float64{w}, []float64{w - 1}, []float64{w + 1}, []int{0})
+		[]float64{w}, []int{0})
 }
 
 func TestRingFillAndWraparound(t *testing.T) {
@@ -24,8 +24,8 @@ func TestRingFillAndWraparound(t *testing.T) {
 	// Partially filled: order is insertion order.
 	push(r, 0)
 	push(r, 1)
-	if r.Len() != 2 || r.Total() != 2 {
-		t.Fatalf("Len=%d Total=%d, want 2, 2", r.Len(), r.Total())
+	if r.Len() != 2 {
+		t.Fatalf("Len=%d, want 2", r.Len())
 	}
 	snap := r.Snapshot(0)
 	if len(snap) != 2 || snap[0].Total != 0 || snap[1].Total != 1 {
@@ -37,13 +37,13 @@ func TestRingFillAndWraparound(t *testing.T) {
 	for i := 2; i < 10; i++ {
 		push(r, i)
 	}
-	if r.Len() != 4 || r.Total() != 10 {
-		t.Fatalf("after wrap Len=%d Total=%d, want 4, 10", r.Len(), r.Total())
+	if r.Len() != 4 {
+		t.Fatalf("after wrap Len=%d, want 4", r.Len())
 	}
 	snap = r.Snapshot(0)
 	for i, p := range snap {
 		want := float64(6 + i)
-		if p.Total != want || p.Min != want-1 || p.Max != want+1 {
+		if p.Total != want {
 			t.Fatalf("snapshot[%d] = %+v, want total %v (full: %v)", i, p, want, snap)
 		}
 		if len(p.Watts) != 2 || p.Watts[0] != want || p.Watts[1] != want+0.5 {
@@ -94,10 +94,10 @@ func TestRingPushZeroAlloc(t *testing.T) {
 	r := NewRing(8, 3)
 	times := []time.Duration{time.Millisecond}
 	watts := []float64{1, 2, 3}
-	totals, mins, maxs := []float64{6}, []float64{1}, []float64{3}
+	totals := []float64{6}
 	marks := []int{0}
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.PushN(times, watts, totals, mins, maxs, marks)
+		r.PushN(times, watts, totals, marks)
 	})
 	if allocs != 0 {
 		t.Errorf("PushN allocates %v per call, want 0", allocs)
@@ -114,7 +114,7 @@ func TestRingMarksTravel(t *testing.T) {
 			marks = 2
 		}
 		r.PushN([]time.Duration{time.Duration(i) * time.Millisecond}, []float64{1},
-			[]float64{1}, []float64{1}, []float64{1}, []int{marks})
+			[]float64{1}, []int{marks})
 	}
 	snap := r.Snapshot(0)
 	if len(snap) != 4 {
@@ -131,14 +131,14 @@ func TestRingMarksTravel(t *testing.T) {
 	}
 	// A recycled slot must not inherit the previous occupant's marks.
 	times := []time.Duration{10 * time.Millisecond}
-	r.PushN(times, []float64{1}, []float64{1}, []float64{1}, []float64{1}, []int{3})
+	r.PushN(times, []float64{1}, []float64{1}, []int{3})
 	snap = r.Snapshot(1)
 	if snap[0].Marks != 3 {
 		t.Errorf("PushN marks = %d, want 3", snap[0].Marks)
 	}
 	// The marks column is 32-bit: a larger count saturates instead of
 	// wrapping.
-	r.PushN(times, []float64{1}, []float64{1}, []float64{1}, []float64{1}, []int{math.MaxInt})
+	r.PushN(times, []float64{1}, []float64{1}, []int{math.MaxInt})
 	if got := r.Snapshot(1)[0].Marks; got != math.MaxInt32 {
 		t.Errorf("oversized marks = %d, want %d", got, math.MaxInt32)
 	}
@@ -159,15 +159,13 @@ func TestRingMatchesModel(t *testing.T) {
 				k := rng.Intn(2*pendCap + 1)
 				times := make([]time.Duration, k)
 				watts := make([]float64, k*chans)
-				totals, mins, maxs := make([]float64, k), make([]float64, k), make([]float64, k)
+				totals := make([]float64, k)
 				marks := make([]int, k)
 				for i := 0; i < k; i++ {
 					p := Point{
 						Time:  time.Duration(len(model)) * time.Millisecond,
 						Watts: make([]float64, chans),
 						Total: rng.NormFloat64(),
-						Min:   rng.NormFloat64(),
-						Max:   rng.NormFloat64(),
 					}
 					if rng.Intn(4) == 0 {
 						p.Marks = 1 + rng.Intn(3)
@@ -175,16 +173,16 @@ func TestRingMatchesModel(t *testing.T) {
 					for m := range p.Watts {
 						p.Watts[m] = rng.NormFloat64()
 					}
-					times[i], totals[i], mins[i], maxs[i], marks[i] = p.Time, p.Total, p.Min, p.Max, p.Marks
+					times[i], totals[i], marks[i] = p.Time, p.Total, p.Marks
 					copy(watts[i*chans:], p.Watts)
 					model = append(model, p)
 				}
-				r.PushN(times, watts, totals, mins, maxs, marks)
+				r.PushN(times, watts, totals, marks)
 
 				held := min(len(model), capacity)
-				if r.Len() != held || r.Total() != uint64(len(model)) {
-					t.Fatalf("cap %d chans %d call %d: Len=%d Total=%d, want %d, %d",
-						capacity, chans, call, r.Len(), r.Total(), held, len(model))
+				if r.Len() != held {
+					t.Fatalf("cap %d chans %d call %d: Len=%d, want %d",
+						capacity, chans, call, r.Len(), held)
 				}
 				max := rng.Intn(capacity+3) - 1 // non-positive, capped and oversized
 				n := held
@@ -222,8 +220,8 @@ func samePoints(a, b []Point) bool {
 	}
 	for i := range a {
 		p, q := &a[i], &b[i]
-		if p.Time != q.Time || p.Total != q.Total || p.Min != q.Min || p.Max != q.Max ||
-			p.Marks != q.Marks || len(p.Watts) != len(q.Watts) || (p.Watts == nil) != (q.Watts == nil) {
+		if p.Time != q.Time || p.Total != q.Total || p.Marks != q.Marks ||
+			len(p.Watts) != len(q.Watts) || (p.Watts == nil) != (q.Watts == nil) {
 			return false
 		}
 		for m := range p.Watts {
@@ -240,13 +238,13 @@ func samePoints(a, b []Point) bool {
 var ringSink *Ring
 
 // TestRingFootprint pins the column layout's size: a slot costs at most
-// 40 B of scalar columns plus 8 B per channel, and nothing else grows
+// 24 B of scalar columns plus 8 B per channel, and nothing else grows
 // with the capacity. Not parallel: it reads the process-wide allocation
 // counter, and keeps the smallest of three tries so that a stray
 // background allocation cannot fail it.
 func TestRingFootprint(t *testing.T) {
 	const capacity, chans = 4096, 3
-	const limit = capacity*(40+8*chans) + 1024
+	const limit = capacity*(24+8*chans) + 1024
 	least := uint64(math.MaxUint64)
 	for try := 0; try < 3; try++ {
 		var before, after runtime.MemStats
@@ -313,8 +311,10 @@ func TestRingConcurrentIngestRead(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if r.Total() != points {
-		t.Fatalf("Total = %d, want %d", r.Total(), points)
+	snap := r.Snapshot(0)
+	if len(snap) != r.Cap() || snap[len(snap)-1].Total != points-1 {
+		t.Fatalf("final snapshot holds %d points ending at %v, want %d ending at %d",
+			len(snap), snap[len(snap)-1].Total, r.Cap(), points-1)
 	}
 }
 
@@ -329,16 +329,16 @@ func BenchmarkRingPushN(b *testing.B) {
 	}
 	times := make([]time.Duration, k)
 	watts := make([]float64, k*chans)
-	totals, mins, maxs := make([]float64, k), make([]float64, k), make([]float64, k)
+	totals := make([]float64, k)
 	marks := make([]int, k)
 	for i := range times {
 		times[i] = time.Duration(i) * time.Millisecond
-		totals[i], mins[i], maxs[i] = 60, 59, 61
+		totals[i] = 60
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs[i%rings].PushN(times, watts, totals, mins, maxs, marks)
+		rs[i%rings].PushN(times, watts, totals, marks)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/k, "ns/point")

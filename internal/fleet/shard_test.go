@@ -50,16 +50,23 @@ func TestShardOfDeterministic(t *testing.T) {
 			t.Fatalf("ShardOf(%s) unstable: %d then %d", name, s, s3)
 		}
 	}
-	// Placement follows the map: an added station lands in its shard.
+	// Placement follows the map: an added station lands in its shard,
+	// and only that shard's generation moves.
+	s := m1.ShardOf("placed")
+	gens := make([]uint64, m1.ShardCount())
+	for i := range gens {
+		gens[i] = m1.ShardGen(i)
+	}
 	if _, err := m1.Add("placed", "stub", &stubSource{}); err != nil {
 		t.Fatal(err)
 	}
-	s := m1.ShardOf("placed")
-	if got := m1.ShardSize(s); got != 1 {
+	if got := len(m1.ShardSnapshotInto(s, nil)); got != 1 {
 		t.Errorf("shard %d holds %d stations after Add, want 1", s, got)
 	}
-	if got := m1.ShardAdopted(s); got != 1 {
-		t.Errorf("shard %d adopted = %d, want 1", s, got)
+	for i, g := range gens {
+		if moved := m1.ShardGen(i) != g; moved != (i == s) {
+			t.Errorf("shard %d generation moved = %v after Add into shard %d", i, moved, s)
+		}
 	}
 }
 
@@ -71,8 +78,8 @@ func TestShardsOneEquivalence(t *testing.T) {
 	if m.ShardCount() != 1 {
 		t.Fatalf("ShardCount = %d, want 1", m.ShardCount())
 	}
-	if m.ShardSize(0) != 10 || m.Size() != 10 {
-		t.Fatalf("shard 0 holds %d of %d stations, want all 10", m.ShardSize(0), m.Size())
+	if n := len(m.ShardSnapshotInto(0, nil)); n != 10 || m.Size() != 10 {
+		t.Fatalf("shard 0 holds %d of %d stations, want all 10", n, m.Size())
 	}
 	names := m.Names()
 	if len(names) != 10 {

@@ -320,22 +320,3 @@ func (s *Series) Stats() Stats {
 		Bytes:         s.bytes.Load(),
 	}
 }
-
-// Bounds returns the timestamps of the oldest and newest points held,
-// and whether the series holds any points at all.
-func (s *Series) Bounds() (first, last time.Duration, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case len(s.blocks) > 0:
-		first = s.blocks[0].t0
-	case s.head.count > 0:
-		first = s.head.t0
-	default:
-		return 0, 0, false
-	}
-	if s.head.count > 0 {
-		return first, s.head.tLast, true
-	}
-	return first, s.blocks[len(s.blocks)-1].tLast, true
-}

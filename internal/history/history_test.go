@@ -216,9 +216,13 @@ func TestEvictionRespectsBudget(t *testing.T) {
 	if st.Points+st.EvictedPoints+st.Dropped != uint64(n) {
 		t.Fatalf("points %d + evicted %d != appended %d", st.Points, st.EvictedPoints, n)
 	}
-	first, last, ok := s.Bounds()
-	if !ok || first == 0 {
-		t.Fatalf("bounds = %v..%v after eviction, want a moved-forward start", first, last)
+	pts := s.PointsInto(nil, 0, math.MaxInt64)
+	if uint64(len(pts)) != st.Points {
+		t.Fatalf("%d points decoded, stats hold %d", len(pts), st.Points)
+	}
+	first, last := pts[0].Time, pts[len(pts)-1].Time
+	if first == 0 {
+		t.Fatalf("held span %v..%v after eviction, want a moved-forward start", first, last)
 	}
 	if last != time.Duration(n-1)*time.Millisecond {
 		t.Fatalf("newest bound %v, want %v", last, time.Duration(n-1)*time.Millisecond)

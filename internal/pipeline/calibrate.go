@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/source"
@@ -19,53 +18,21 @@ import (
 // inter-sample gaps itself, so Status.Joules of a calibrated station
 // reports calibrated energy.
 func Calibrate(gain, offset float64) Stage {
-	gains := [source.MaxChannels]float64{}
-	offs := [source.MaxChannels]float64{}
-	for m := range gains {
-		gains[m], offs[m] = gain, offset
-	}
-	return newCalibrate(gains, offs)
-}
-
-// CalibratePerChannel is Calibrate with one gain/offset pair per channel
-// (by channel index; channels beyond the slices keep identity). It panics
-// when more than source.MaxChannels pairs are given or the slice lengths
-// differ — construction-time wiring errors.
-func CalibratePerChannel(gain, offset []float64) Stage {
-	if len(gain) != len(offset) {
-		panic(fmt.Sprintf("pipeline: CalibratePerChannel has %d gains but %d offsets",
-			len(gain), len(offset)))
-	}
-	if len(gain) > source.MaxChannels {
-		panic(fmt.Sprintf("pipeline: CalibratePerChannel has %d pairs, max %d",
-			len(gain), source.MaxChannels))
-	}
-	gains := [source.MaxChannels]float64{}
-	offs := [source.MaxChannels]float64{}
-	for m := range gains {
-		gains[m] = 1
-	}
-	copy(gains[:], gain)
-	copy(offs[:], offset)
-	return newCalibrate(gains, offs)
-}
-
-func newCalibrate(gains, offs [source.MaxChannels]float64) Stage {
 	return func(inner source.Source) source.Source {
 		return &calibrator{
-			wrap:  derive(inner, "calib", 0),
-			gains: gains,
-			offs:  offs,
-			lastT: inner.Now(),
+			wrap:   derive(inner, "calib", 0),
+			gain:   gain,
+			offset: offset,
+			lastT:  inner.Now(),
 		}
 	}
 }
 
 type calibrator struct {
 	wrap
-	gains, offs [source.MaxChannels]float64
-	lastT       time.Duration // timestamp of the last calibrated sample
-	joule       float64       // calibrated energy integral
+	gain, offset float64
+	lastT        time.Duration // timestamp of the last calibrated sample
+	joule        float64       // calibrated energy integral
 }
 
 // ReadInto implements source.Source: the inner source fills the caller's
@@ -82,7 +49,7 @@ func (c *calibrator) ReadInto(d time.Duration, b *source.Batch) error {
 		row := b.Chans[i*stride : (i+1)*stride]
 		var total float64
 		for m, w := range row {
-			w = c.gains[m]*w + c.offs[m]
+			w = c.gain*w + c.offset
 			row[m] = w
 			total += w
 		}

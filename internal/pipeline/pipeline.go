@@ -14,8 +14,8 @@
 //	      │
 //	  Resample                 rate conversion, energy-conserving bin
 //	      │                    averaging, marker indices remapped
-//	  Calibrate                per-channel gain/offset overlay applied
-//	      │                    in the batch fold
+//	  Calibrate                uniform gain/offset on every channel,
+//	      │                    applied in the batch fold
 //	  RateLimit                max delivered sample rate, cumulative
 //	      │                    sampling-overhead accounting (Overheader)
 //	   Smooth                  EWMA over Total and every channel

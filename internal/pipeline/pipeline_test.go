@@ -193,17 +193,6 @@ func TestCalibrate(t *testing.T) {
 	}
 }
 
-func TestCalibratePerChannel(t *testing.T) {
-	raw := newFake(1000, func(int) float64 { return 100 }) // rows (25, 75)
-	src := Chain(raw, CalibratePerChannel([]float64{1, 0.5}, []float64{10, 0}))
-	var b source.Batch
-	src.ReadInto(2*time.Millisecond, &b)
-	row := b.Row(0)
-	if row[0] != 35 || row[1] != 37.5 || b.Total[0] != 72.5 {
-		t.Errorf("row = %v total = %v, want [35 37.5] 72.5", row, b.Total[0])
-	}
-}
-
 func TestRateLimit(t *testing.T) {
 	// 1 kHz throttled to 100 Hz: every 10th sample passes, and a marker
 	// on a dropped sample reattaches to the next kept one.
@@ -388,18 +377,16 @@ func TestStageHistsRecord(t *testing.T) {
 
 func TestConstructorValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"resample-zero":  func() { Resample(0) },
-		"ratelimit-neg":  func() { RateLimit(-1) },
-		"smooth-zero":    func() { Smooth(0) },
-		"calib-mismatch": func() { CalibratePerChannel([]float64{1}, []float64{0, 0}) },
-		"calib-too-many": func() { CalibratePerChannel(make([]float64, 9), make([]float64, 9)) },
-		"dropout-p":      func() { Dropout(1.5, time.Millisecond, 1) },
-		"dropout-dur":    func() { Dropout(0.5, 0, 1) },
-		"stuck-p":        func() { Stuck(-0.1, time.Millisecond, 1) },
-		"spike-mag-one":  func() { Spike(0.5, 1, 1) },
-		"spike-mag-neg":  func() { Spike(0.5, -2, 1) },
-		"skew-too-fast":  func() { Skew(1e6) },
-		"jitter-zero":    func() { Jitter(0, 1) },
+		"resample-zero": func() { Resample(0) },
+		"ratelimit-neg": func() { RateLimit(-1) },
+		"smooth-zero":   func() { Smooth(0) },
+		"dropout-p":     func() { Dropout(1.5, time.Millisecond, 1) },
+		"dropout-dur":   func() { Dropout(0.5, 0, 1) },
+		"stuck-p":       func() { Stuck(-0.1, time.Millisecond, 1) },
+		"spike-mag-one": func() { Spike(0.5, 1, 1) },
+		"spike-mag-neg": func() { Spike(0.5, -2, 1) },
+		"skew-too-fast": func() { Skew(1e6) },
+		"jitter-zero":   func() { Jitter(0, 1) },
 	} {
 		func() {
 			defer func() {

@@ -73,7 +73,7 @@ func FleetKinds() []string {
 //	stage    := "resample:" HZ          derived view at HZ (energy-
 //	                                    conserving bin averaging,
 //	                                    markers remapped)
-//	          | "calib:" GAIN [":" OFFSET]  per-channel w' = GAIN*w + OFFSET
+//	          | "calib:" GAIN [":" OFFSET]  w' = GAIN*w + OFFSET on every channel
 //	          | "ratelimit:" HZ         cap the delivered rate at HZ and
 //	                                    account sampling overhead
 //	          | "smooth:" DUR           EWMA with time constant DUR
