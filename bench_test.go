@@ -265,8 +265,10 @@ func fleetSpec(size int, kinds []string) string {
 // growing fleet sizes: every station is a synthetic 20 kHz source (no
 // simulated hardware behind it), so ns/op is the cost of the fleet layer
 // itself — batch fill, columnar fold, ring arena push, telemetry publish.
-// allocs/op must stay 0: the steady-state ingest path is allocation-free
-// by contract (see internal/fleet's AllocsPerRun regression tests).
+// allocs/op reads 0 until history blocks start to seal, about a virtual
+// second in: the steady-state ingest path allocates only at history
+// block seals, by contract (see TestStepAllocatesOnlyAtHistorySeals in
+// internal/fleet).
 func BenchmarkFleetIngest(b *testing.B) {
 	for _, size := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("size-%d", size), func(b *testing.B) {

@@ -132,18 +132,22 @@
 // a retirement stay well-formed — the exposition simply stops listing the
 // retired station's series.
 //
-// The steady-state sample path allocates nothing, by contract: batches
-// reuse their caller-owned columns, downsample blocks accumulate into
-// fixed-size running sums, and ring points copy into pointer-free
-// per-field columns preallocated at construction (regression-tested with
-// testing.AllocsPerRun in internal/source and internal/fleet). The
-// scrape path is decoupled from ingest: each station publishes its
-// telemetry through per-field atomic cells refreshed at block and step
-// boundaries, so Status, Manager.Snapshot and a /metrics scrape of a
-// 256-station fleet never take a device ingest mutex — measurement cost
-// stays off the measured system's critical path, the same property the
-// paper claims for the sensor itself. perfbench (declared by
-// BENCHMARK.json) measures the ingest and scrape numbers.
+// The steady-state sample path allocates nothing but the history tier's
+// sealed blocks, by contract: batches reuse their caller-owned columns,
+// downsample blocks accumulate into fixed-size running sums, and ring
+// points copy into pointer-free per-field columns preallocated at
+// construction. testing.AllocsPerRun tests in internal/source and
+// internal/fleet pin it, and TestStepAllocatesOnlyAtHistorySeals checks
+// every quantum of a fleet stepped serially and in parallel across
+// several seals: a quantum that seals nothing allocates nothing. The
+// scrape path is decoupled from ingest: each read publishes its
+// station's status whole, under a small lock of the station's own that
+// is not its ingest mutex, so every Status comes from one read, and
+// Status, Manager.Snapshot and a /metrics scrape of a 256-station fleet
+// never take a device ingest mutex — measurement cost stays off the
+// measured system's critical path, the same property the paper claims
+// for the sensor itself. perfbench (declared by BENCHMARK.json)
+// measures the ingest and scrape numbers.
 //
 // # Fleet sharding
 //
@@ -280,7 +284,7 @@
 //
 // The scrape economics reuse the sharded-render design one tier up:
 // /api/fleet is versioned (a schema field the head checks, failing
-// loudly on skew) and carries the leaf's generation fingerprint, which
+// loudly on skew) and carries the leaf's generation counter, which
 // backs both the endpoint's ETag (quiet leaves answer 304 to
 // If-None-Match — no body transfer) and the head's per-leaf cached
 // exposition segment (no re-render until the generation moves). The

@@ -13,7 +13,8 @@
 //
 // Rendering and caching are sharded along the fleet manager's own
 // partitions: each fleet shard has its own rendered exposition segment,
-// cached against that shard's block-boundary generation
+// cached against that shard's render generation, a counter the fleet
+// moves when a block, health change or churn lands in the shard
 // (fleet.Manager.ShardGen). A scrape checks every shard's generation,
 // re-renders only the stale segments, and assembles the body by
 // concatenating the per-shard segments family-major, so the exposition
@@ -41,8 +42,9 @@
 // The tail renders the obs-layer histograms (ingest fold latency, pacer
 // lateness, pipeline stage reads, scrape timing by path), the
 // cache's own hit/miss counters, the lifecycle event-ring counters and
-// fleet-wide ring occupancy — all from lock-free atomic reads, so a
-// cache-hit scrape still never touches a station's ingest.
+// fleet-wide ring occupancy — all from atomic counters and the stations'
+// published statuses, so a cache-hit scrape still never touches a
+// station's ingest.
 //
 // Endpoints (all GET):
 //
@@ -496,7 +498,7 @@ func (e *Exporter) metrics(w http.ResponseWriter, _ *http.Request) {
 // the next scrape re-renders — the conservative direction. Holding the
 // lock across render also keeps same-shard renders single-flight: were
 // two same-generation renders allowed to interleave, the one holding the
-// OLDER snapshot could store last (per-step published cells such as
+// OLDER snapshot could store last (per-read published values such as
 // samples and overhead advance without changing the generation), and
 // later cache hits would serve counters below values the fresher render
 // already returned — a counter regression scrapers would read as a
@@ -647,7 +649,7 @@ func Escape(s string) string {
 // fleetJSON serves the versioned /api/fleet body (see FleetJSON). The
 // fleet generation doubles as the ETag: a client (a federation head
 // polling many leaves) sending If-None-Match gets 304 with no body while
-// the fleet sits at the same block-boundary fingerprint. The generation
+// the fleet sits at the same generation counter. The generation
 // loads before the snapshot, so a block landing between the two reads
 // makes the ETag conservatively old — the client refetches, never serves
 // stale. The body is appended by AppendFleetJSON into the pooled scrape
@@ -706,39 +708,43 @@ func EventsHandler(ring *obs.EventRing) http.HandlerFunc {
 
 // deviceTrace serves the recent downsampled trace of one station.
 func (e *Exporter) deviceTrace(w http.ResponseWriter, r *http.Request) {
+	name, d := e.device(w, r)
+	if d == nil {
+		return
+	}
+	max, ok := pointsParam(w, r, 0)
+	if !ok {
+		return
+	}
+	writeTrace(w, r, d.Trace(max), name+".csv")
+}
+
+// device resolves the request's {name} station, answering 404 with the
+// fleet's station names when there is none.
+func (e *Exporter) device(w http.ResponseWriter, r *http.Request) (string, *fleet.Device) {
 	name := r.PathValue("name")
 	d := e.mgr.Device(name)
 	if d == nil {
 		http.Error(w, fmt.Sprintf("unknown device %q (have %s)",
 			name, strings.Join(e.mgr.Names(), ", ")), http.StatusNotFound)
-		return
 	}
-	max := 0
-	if s := r.URL.Query().Get("points"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			http.Error(w, fmt.Sprintf("bad points=%q (want a positive count)", s),
-				http.StatusBadRequest)
-			return
-		}
-		max = n
+	return name, d
+}
+
+// pointsParam parses ?points=N, a positive cap on the points served,
+// defaulting to def; a bad value answers 400 and reports false.
+func pointsParam(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
+	s := r.URL.Query().Get("points")
+	if s == "" {
+		return def, true
 	}
-	tr := d.Trace(max)
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		w.Header().Set("Content-Disposition",
-			fmt.Sprintf("attachment; filename=%s.csv", sanitizeFilename(name)))
-		if err := tr.WriteCSV(w); err != nil {
-			// Headers are gone; nothing useful to do but note it.
-			return
-		}
-	case "json":
-		writeTraceJSON(w, tr)
-	default:
-		http.Error(w, fmt.Sprintf("bad format=%q (want csv or json)", format),
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 1 {
+		http.Error(w, fmt.Sprintf("bad points=%q (want a positive count)", s),
 			http.StatusBadRequest)
+		return 0, false
 	}
+	return n, true
 }
 
 // parseWindowTime parses a ?from= / ?to= query value: a plain number is
@@ -787,11 +793,8 @@ func windowOf(r *http.Request, d *fleet.Device) (from, to time.Duration, err err
 // deviceEnergy serves a windowed energy query over one station's
 // long-horizon history tier: the HTTP face of Device.EnergyWindow.
 func (e *Exporter) deviceEnergy(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	d := e.mgr.Device(name)
+	name, d := e.device(w, r)
 	if d == nil {
-		http.Error(w, fmt.Sprintf("unknown device %q (have %s)",
-			name, strings.Join(e.mgr.Names(), ", ")), http.StatusNotFound)
 		return
 	}
 	from, to, err := windowOf(r, d)
@@ -829,18 +832,30 @@ func appendEnergyJSON(b []byte, device string, from, to time.Duration, joules, m
 	return append(b, "}\n"...)
 }
 
-// writeTraceJSON answers with tr's JSON encoding, built in a buffer
-// first: encoding/json refuses NaN and ±Inf readings, and that refusal
-// becomes a 500 naming it instead of a 200 with an empty body.
-func writeTraceJSON(w http.ResponseWriter, tr *trace.Trace) {
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		http.Error(w, fmt.Sprintf("encoding trace: %v", err), http.StatusInternalServerError)
-		return
+// writeTrace answers with tr in the encoding ?format= picks: CSV (the
+// default) as a download named filename, or JSON. The JSON is built in a
+// buffer first: encoding/json refuses NaN and ±Inf readings, and that
+// refusal becomes a 500 naming it instead of a 200 with an empty body.
+func writeTrace(w http.ResponseWriter, r *http.Request, tr *trace.Trace, filename string) {
+	switch format := r.URL.Query().Get("format"); format {
+	case "", "csv":
+		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
+		w.Header().Set("Content-Disposition", "attachment; filename="+sanitizeFilename(filename))
+		// A failed write leaves nothing useful to do: the headers are gone.
+		_ = tr.WriteCSV(w)
+	case "json":
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			http.Error(w, fmt.Sprintf("encoding trace: %v", err), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+		_, _ = w.Write(buf.Bytes())
+	default:
+		http.Error(w, fmt.Sprintf("bad format=%q (want csv or json)", format),
+			http.StatusBadRequest)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	_, _ = w.Write(buf.Bytes())
 }
 
 // deviceHistory serves a long-range summed-power trace decoded from one
@@ -850,11 +865,8 @@ func writeTraceJSON(w http.ResponseWriter, tr *trace.Trace) {
 // millisecond points would otherwise ship millions of rows), and the
 // trace carries one channel: the station's summed board power.
 func (e *Exporter) deviceHistory(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	d := e.mgr.Device(name)
+	name, d := e.device(w, r)
 	if d == nil {
-		http.Error(w, fmt.Sprintf("unknown device %q (have %s)",
-			name, strings.Join(e.mgr.Names(), ", ")), http.StatusNotFound)
 		return
 	}
 	from, to, err := windowOf(r, d)
@@ -862,15 +874,9 @@ func (e *Exporter) deviceHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	max := 2000
-	if s := r.URL.Query().Get("points"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			http.Error(w, fmt.Sprintf("bad points=%q (want a positive count)", s),
-				http.StatusBadRequest)
-			return
-		}
-		max = n
+	max, ok := pointsParam(w, r, 2000)
+	if !ok {
+		return
 	}
 	pts := d.HistoryInto(nil, from, to)
 	// Stride decimation keeps the first and the stride-aligned points; the
@@ -889,20 +895,7 @@ func (e *Exporter) deviceHistory(w http.ResponseWriter, r *http.Request) {
 			Time: p.Time, Watts: []float64{p.Watts}, TotalW: p.Watts,
 		})
 	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		w.Header().Set("Content-Disposition",
-			fmt.Sprintf("attachment; filename=%s-history.csv", sanitizeFilename(name)))
-		if err := tr.WriteCSV(w); err != nil {
-			return
-		}
-	case "json":
-		writeTraceJSON(w, tr)
-	default:
-		http.Error(w, fmt.Sprintf("bad format=%q (want csv or json)", format),
-			http.StatusBadRequest)
-	}
+	writeTrace(w, r, tr, name+"-history.csv")
 }
 
 // sanitizeFilename keeps the download filename header safe.

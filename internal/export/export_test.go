@@ -437,7 +437,7 @@ func TestScrapeWhileRunning(t *testing.T) {
 // asserts every response stays well-formed — sample lines parse, the
 // comment skeleton is complete, and per-station counters only move
 // forward. This is the lock-decoupling regression test: a scrape
-// assembled from the atomically published telemetry can interleave with
+// assembled from the published statuses can interleave with
 // ingest at any point and must never observe a torn exposition.
 func TestScrapeUnderIngestLoad(t *testing.T) {
 	mgr, err := fleet.FromSpec("gpu0=rtx4000ada,cpu0=rapl,s0=synth,s1=synth", 1, fleet.Config{})

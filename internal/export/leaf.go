@@ -25,7 +25,7 @@ const FleetSchemaVersion = 1
 
 // FleetJSON is the /api/fleet response body — the leaf side of the
 // federation wire format. Schema pins the format version, Generation is
-// the fleet's block-boundary fingerprint (fleet.Manager.Gen; it also
+// the fleet's render generation counter (fleet.Manager.Gen; it also
 // backs the endpoint's ETag, so a head can skip both the body transfer
 // and its own re-render while a leaf is quiet), and Devices carries the
 // per-station statuses with everything a head consumes: health, backend,
@@ -43,7 +43,7 @@ type FleetJSON struct {
 	Devices    []fleet.Status `json:"devices"`
 }
 
-// FleetETag renders the /api/fleet ETag for a generation fingerprint.
+// FleetETag renders the /api/fleet ETag for a generation counter.
 // Shared by the serving side and any client building If-None-Match.
 func FleetETag(gen uint64) string {
 	return `"ps-` + strconv.FormatUint(gen, 16) + `"`

@@ -43,6 +43,15 @@ type Leaf struct {
 	URL  string
 }
 
+const (
+	// retryBackoff is the first in-poll retry's delay, doubling per
+	// attempt.
+	retryBackoff = 50 * time.Millisecond
+	// eventCap is the capacity of the head's lifecycle event ring: leaf
+	// up/down transitions and breaker state changes.
+	eventCap = 256
+)
+
 // Config tunes a Head. The zero value of every field takes a default.
 type Config struct {
 	// Leaves are the leaf daemons to aggregate. Required, and names must
@@ -58,11 +67,8 @@ type Config struct {
 	Timeout time.Duration
 	// Retries is how many extra in-poll attempts follow a failed one
 	// (default 1; negative means none). Retries back off exponentially
-	// from RetryBackoff.
+	// from retryBackoff.
 	Retries int
-	// RetryBackoff is the first retry's delay (default 50 ms), doubling
-	// per attempt.
-	RetryBackoff time.Duration
 	// FailThreshold is the consecutive-failure count that opens a leaf's
 	// circuit breaker (default 3).
 	FailThreshold int
@@ -72,9 +78,6 @@ type Config struct {
 	// Workers bounds how many leaves poll concurrently within one round
 	// (default min(8, leaf count)).
 	Workers int
-	// EventCap is the capacity of the head's lifecycle event ring
-	// (default 256): leaf up/down transitions and breaker state changes.
-	EventCap int
 	// Client is the HTTP client polls and proxies ride (default a fresh
 	// http.Client; per-attempt contexts carry the timeouts). Tests
 	// inject httptest clients here.
@@ -104,9 +107,6 @@ func (c Config) withDefaults() Config {
 	if c.Retries < 0 {
 		c.Retries = 0
 	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 3
 	}
@@ -115,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 8
-	}
-	if c.EventCap <= 0 {
-		c.EventCap = 256
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
@@ -209,7 +206,7 @@ func New(cfg Config) (*Head, error) {
 	h := &Head{
 		cfg:    cfg,
 		byName: make(map[string]*leafState, len(cfg.Leaves)),
-		events: obs.NewEventRing(cfg.EventCap),
+		events: obs.NewEventRing(eventCap),
 	}
 	for _, l := range cfg.Leaves {
 		if l.Name == "" {
@@ -398,7 +395,7 @@ func (h *Head) pollLeaf(ctx context.Context, ls *leafState) {
 // attempt under its own Timeout, backing off exponentially between
 // attempts. Cancellation of ctx (head stopping) aborts the retry loop.
 func (h *Head) fetch(ctx context.Context, ls *leafState, etag string) (view *export.FleetJSON, newETag string, notModified bool, err error) {
-	backoff := h.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		actx, cancel := context.WithTimeout(ctx, h.cfg.Timeout)
 		view, newETag, notModified, err = ls.client.fetchFleet(actx, etag)

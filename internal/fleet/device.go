@@ -12,35 +12,19 @@ import (
 	"repro/internal/trace"
 )
 
-// devState is a station's lifecycle state. A device moves strictly
-// forward through retirement (stopping, closed are terminal); adopted and
-// started alternate with the manager's Start/Stop cycles.
-type devState int32
-
+// Lifecycle states, as published on Status.State. A device moves
+// strictly forward through retirement (stopping, closed are terminal);
+// adopted and started alternate with the manager's Start/Stop cycles.
 const (
-	// devAdopted: owned by a manager that is not running.
-	devAdopted devState = iota
-	// devStarted: the manager's pacer is advancing it.
-	devStarted
-	// devStopping: retirement begun; the last partial block is draining.
-	devStopping
-	// devClosed: drained; source released.
-	devClosed
+	// stateAdopted: owned by a manager that is not running.
+	stateAdopted = "adopted"
+	// stateStarted: the manager's pacer is advancing it.
+	stateStarted = "started"
+	// stateStopping: retirement begun; the last partial block is draining.
+	stateStopping = "stopping"
+	// stateClosed: drained; source released.
+	stateClosed = "closed"
 )
-
-func (s devState) String() string {
-	switch s {
-	case devAdopted:
-		return "adopted"
-	case devStarted:
-		return "started"
-	case devStopping:
-		return "stopping"
-	case devClosed:
-		return "closed"
-	}
-	return "unknown"
-}
 
 // Status is a point-in-time health and measurement snapshot of one station.
 type Status struct {
@@ -59,13 +43,14 @@ type Status struct {
 	Channels []string `json:"channels"`
 	// Pairs is the number of measurement channels.
 	Pairs int `json:"pairs"`
-	// Now is the station's virtual time: exact after every fleet quantum,
-	// skipped or not, and frozen while its source is not being read
-	// (restart backoff, parked, closed). Between the reads of a skipped
-	// station it advances with the fleet's clock, except that a source
-	// whose own clock runs at another rate (the skew fault stage) holds
-	// its last read's time until its next read: exact at its reads, and
-	// never decreasing.
+	// Now is the station's virtual time: its source's clock as of the
+	// read the rest of the status comes from, carried forward by its
+	// shard's clock over the quanta skipped since, so it is exact after
+	// every fleet quantum. It is frozen while the source is not being
+	// read (restart backoff, parked, closed), and a source whose own
+	// clock runs at another rate (the skew fault stage) holds its last
+	// read's time until its next read: exact at its reads, and never
+	// decreasing.
 	Now time.Duration `json:"now"`
 	// Watts is the summed board power of the latest downsampled ring
 	// point — a block average rather than one raw sample, since a
@@ -120,56 +105,12 @@ type Status struct {
 	Restarts uint64 `json:"restarts"`
 }
 
-// pub is the device's published telemetry: one atomic cell per Status
-// field that changes while the fleet runs. The ingest goroutine refreshes
-// the cells at block boundaries and at the end of every read, and readers
-// assemble a Status from plain atomic loads — so Status()/Snapshot()
-// never touch the ingest mutex, and a stalled scraper can never stall a
-// 20 kHz station. A station skipped for quanta is not written at all: its
-// clock is carried forward by its shard's (see Device.now).
-//
-// Per-field atomics (rather than an atomically swapped snapshot struct)
-// keep the refresh allocation-free: republishing a fresh snapshot object
-// per block would put one heap allocation on the steady-state ingest
-// path. The price is that a reader may observe fields from two adjacent
-// blocks; each field is itself always a complete, valid value, which is
-// all a telemetry scrape needs.
-type pub struct {
-	state   atomic.Int32 // devState
-	samples atomic.Uint64
-	marks   atomic.Uint64
-	// The station's clock (see Device.now): its source's clock at the
-	// last read, and that clock's offset from the shard clock, or
-	// frozenOff while the source is not read (backoff, parked, closed)
-	// and until the next read once the offset has moved.
-	nowNanos  atomic.Int64
-	nowOff    atomic.Int64
-	joules    atomic.Uint64 // math.Float64bits
-	overhead  atomic.Int64  // cumulative sampling overhead, nanoseconds
-	resyncs   atomic.Int64
-	watts     atomic.Uint64 // math.Float64bits
-	pair      [source.MaxChannels]atomic.Uint64
-	ringLen   atomic.Int64
-	ringTotal atomic.Uint64
-	health    atomic.Int32 // healthHealthy..healthStale rank
-	gaps      atomic.Uint64
-	flatlines atomic.Uint64
-	spikesQ   atomic.Uint64
-	restarts  atomic.Uint64
-	// wdGen counts watchdog publications: bumped whenever health or any
-	// episode counter changes. ShardGen folds it next to ringTotal so a
-	// health transition invalidates the station's cached exposition
-	// segment even when the station has stopped producing blocks — the
-	// stale and parked states are exactly the frozen-ringTotal case.
-	wdGen atomic.Uint64
-}
-
 // Device is one managed station: a streaming measurement source plus the
 // fleet's ingest state. All source access is serialised by mu, held by
 // whoever steps the device (pacer, shard worker or StepAll caller).
-// Snapshots never take mu — they read the atomically published telemetry
-// cells instead — so scraping a fleet of hundreds of stations cannot
-// block any station's ingest.
+// Snapshots never take mu — they copy the published status under pubMu
+// instead — so scraping a fleet of hundreds of stations cannot block any
+// station's ingest.
 type Device struct {
 	name string
 	kind string
@@ -242,7 +183,25 @@ type Device struct {
 	hist      *history.Series
 	histQuery *obs.Hist
 
-	pub pub
+	// dirty says a publish since the home shard last stepped the station
+	// completed a block or moved its health or an episode counter: what
+	// makes the shard's render generation move (see shard.step).
+	dirty bool
+
+	// pubMu guards the published status, which publish writes whole once
+	// per read and StatusInto copies whole, so every snapshot comes from
+	// one read. It is not mu: a scrape waits for at most one such copy,
+	// never for a read. pub's constant fields are set at adoption, its
+	// Channels stay nil (StatusInto copies meta's) and its PairWatts is
+	// the device's own row. pub.Now is the source's clock at the last
+	// read; pubOff is that clock's offset from the shard clock, which
+	// carries a skipped station's time forward unless pubFrozen says the
+	// source is not read (backoff, parked, closed) or its offset moved
+	// at the last read (a skew stage).
+	pubMu     sync.Mutex
+	pub       Status
+	pubOff    time.Duration
+	pubFrozen bool
 }
 
 // newDevice adopts src. cfg.pointPeriod is the target time width of one
@@ -301,30 +260,27 @@ func newDevice(name, kind string, src source.Source, cfg Config, clk *atomic.Int
 	d.batch.Total = make([]float64, 0, n)
 	d.batch.Marks = make([]int, 0, 16)
 	d.off = src.Now() - d.readAt
-	d.pub.nowNanos.Store(int64(src.Now()))
-	d.pub.nowOff.Store(int64(d.off))
-	d.pub.resyncs.Store(int64(src.Resyncs()))
+	d.pub = Status{
+		Name:      name,
+		Kind:      kind,
+		Backend:   meta.Backend,
+		RateHz:    meta.RateHz,
+		Pairs:     d.chans,
+		PairWatts: make([]float64, d.chans),
+		State:     stateAdopted,
+		Health:    HealthHealthy,
+		Now:       src.Now(),
+		Resyncs:   src.Resyncs(),
+	}
+	d.pubOff = d.off
 	return d
 }
 
-// frozenOff is the published clock offset of a station whose clock
-// must not advance before its next read: far enough below zero that the
-// shard clock never lifts it over the frozen source clock.
-const frozenOff = math.MinInt64 / 2
-
-// now returns the station's virtual time from the published cells: its
-// source's clock as of the last read, carried forward by the shard clock
-// over the quanta skipped since unless the offset is frozen. A station
-// stepped in the quantum under way reads its new time at once, as a
-// skipped one reads its exact time once the quantum ends. publish stores
-// the offset before the source clock, so a reader mixing two reads'
-// cells sees the older time.
-func (d *Device) now() time.Duration {
-	now := d.pub.nowNanos.Load()
-	if skipped := d.clk.Load() + d.pub.nowOff.Load(); skipped > now {
-		now = skipped
-	}
-	return time.Duration(now)
+// setState publishes the station's lifecycle state.
+func (d *Device) setState(state string) {
+	d.pubMu.Lock()
+	d.pub.State = state
+	d.pubMu.Unlock()
 }
 
 // Name returns the station's fleet name.
@@ -465,12 +421,9 @@ func (d *Device) ingestBatch(b *source.Batch) {
 const pendCap = 8
 
 // emit closes the in-flight block: its means go to the staging area (and
-// to scratch, for publication at the end of the step), reaching the ring
-// in batched PushN flushes. Nothing here allocates or locks. Publication
-// of the block averages is likewise deferred to the end of the step —
-// atomic stores are sequentially-consistent exchanges on most
-// architectures, too expensive to pay per block when one refresh per
-// step gives readers the same freshness.
+// to scratch, for publication at the end of the read), reaching the ring
+// in batched PushN flushes. Nothing here allocates or locks: the block
+// averages are published once per read, with the rest of the status.
 func (d *Device) emit(t time.Duration) {
 	inv := 1 / float64(d.accN)
 	mean := d.accSum * inv
@@ -511,66 +464,40 @@ func (d *Device) flush() {
 	d.pendN = 0
 }
 
-// publish refreshes the atomically published telemetry from the ingest
-// state: once per read, plus per-block values only when a block completed
-// since the last refresh. Rarely-changing cells are compared before being
-// stored, trading a cheap atomic load for the full exchange. Called with
-// d.mu held.
+// publish writes the station's published status whole from the ingest
+// state, in one critical section under pubMu, once per read; the source
+// is queried before the lock is taken. It marks the station dirty when a
+// block completed or an episode counter moved since the last publish.
+// Called with d.mu held.
 func (d *Device) publish() {
-	d.pub.samples.Store(d.samples)
 	srcNow := d.src.Now()
 	off := srcNow - d.readAt
-	pubOff := int64(off)
-	if off != d.off || d.closed || d.wd.parked || d.wd.backoff {
-		pubOff = frozenOff
-	}
+	frozen := off != d.off || d.closed || d.wd.parked || d.wd.backoff
 	d.off = off
-	d.pub.nowOff.Store(pubOff)
-	d.pub.nowNanos.Store(int64(srcNow))
-	d.pub.joules.Store(math.Float64bits(d.src.Joules() - d.baseJ))
-	if r := int64(d.src.Resyncs()); d.pub.resyncs.Load() != r {
-		d.pub.resyncs.Store(r)
-	}
+	joules := d.src.Joules() - d.baseJ
+	resyncs := d.src.Resyncs()
+	var overhead float64
 	if d.ov != nil {
-		d.pub.overhead.Store(int64(d.ov.Overhead()))
+		overhead = d.ov.Overhead().Seconds()
 	}
-	if d.pub.marks.Load() != d.marks {
-		d.pub.marks.Store(d.marks)
-	}
-	wdChanged := false
-	if d.pub.gaps.Load() != d.wd.gaps {
-		d.pub.gaps.Store(d.wd.gaps)
-		wdChanged = true
-	}
-	if d.pub.flatlines.Load() != d.wd.flatlines {
-		d.pub.flatlines.Store(d.wd.flatlines)
-		wdChanged = true
-	}
-	if d.pub.spikesQ.Load() != d.wd.spikesQ {
-		d.pub.spikesQ.Store(d.wd.spikesQ)
-		wdChanged = true
-	}
-	if d.pub.restarts.Load() != d.wd.restarts {
-		d.pub.restarts.Store(d.wd.restarts)
-		wdChanged = true
-	}
-	if wdChanged {
-		d.pub.wdGen.Add(1)
-	}
-	if !d.emitted {
-		return
-	}
+	w := &d.wd
+	d.pubMu.Lock()
+	p := &d.pub
+	d.dirty = d.dirty || d.emitted || p.Gaps != w.gaps || p.Flatlines != w.flatlines ||
+		p.SpikesQuarantined != w.spikesQ || p.Restarts != w.restarts
+	p.Now, d.pubOff, d.pubFrozen = srcNow, off, frozen
+	p.Watts = d.accMean
+	copy(p.PairWatts, d.scratch[:d.chans])
+	p.Joules = joules
+	p.Samples = d.samples
+	p.Marks = d.marks
+	p.Resyncs = resyncs
+	p.OverheadSeconds = overhead
+	p.RingLen = int(min(d.ringTotal, uint64(d.ring.Cap())))
+	p.RingTotal = d.ringTotal
+	p.Gaps, p.Flatlines, p.SpikesQuarantined, p.Restarts = w.gaps, w.flatlines, w.spikesQ, w.restarts
+	d.pubMu.Unlock()
 	d.emitted = false
-	d.pub.watts.Store(math.Float64bits(d.accMean))
-	for m := 0; m < d.chans; m++ {
-		d.pub.pair[m].Store(math.Float64bits(d.scratch[m]))
-	}
-	d.pub.ringTotal.Store(d.ringTotal)
-	held := d.ringTotal
-	if c := uint64(d.ring.Cap()); held > c {
-		held = c
-	}
-	d.pub.ringLen.Store(int64(held))
 }
 
 // foldSampleEvery selects which reads contribute a fold-latency
@@ -588,17 +515,20 @@ const foldSampleEvery = 32
 const never = time.Duration(math.MaxInt64)
 
 // step advances the station to shard time end and returns the shard time
-// at which it is next due (see nextDue). Its home shard calls it only
-// when the station is due, so the quanta skipped since the last read are
-// owed, and advance reads them and the current quantum in one ReadInto
-// call. A closed station is never due.
-func (d *Device) step(end time.Duration) time.Duration {
+// at which it is next due (see nextDue), and whether the step published
+// a completed block, a health transition or an episode counter. Its home
+// shard calls it only when the station is due, so the quanta skipped
+// since the last read are owed, and advance reads them and the current
+// quantum in one ReadInto call. A closed station is never due.
+func (d *Device) step(end time.Duration) (due time.Duration, dirty bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return never
+		return never, false
 	}
-	return d.advance(end)
+	due = d.advance(end)
+	dirty, d.dirty = d.dirty, false
+	return due, dirty
 }
 
 // advance is step with d.mu held. On sampled reads the fold (despike +
@@ -671,13 +601,14 @@ func (d *Device) advance(end time.Duration) time.Duration {
 	return d.nextDue(end)
 }
 
-// Status returns a snapshot of the station assembled from the published
-// telemetry cells. It never takes the ingest mutex, so it cannot stall —
-// or be stalled by — a station advancing at 20 kHz; values are at most
-// one manager slice (and one downsample block) behind the ingest
-// goroutine, and a station skipped between samples publishes what its
-// last read delivered while its clock keeps the shard's time. After the
-// fleet closes a station, the last published values remain readable.
+// Status returns a snapshot of the station: the status its last read
+// published, copied whole, so every field comes from that one read. It
+// never takes the ingest mutex, so it cannot stall — or be stalled by — a
+// station advancing at 20 kHz; values are at most one manager slice (and
+// one downsample block) behind the ingest goroutine, and a station
+// skipped between samples publishes what its last read delivered while
+// its clock keeps the shard's time. After the fleet closes a station, the
+// last published values remain readable.
 func (d *Device) Status() Status {
 	var out Status
 	d.StatusInto(&out)
@@ -687,35 +618,21 @@ func (d *Device) Status() Status {
 // StatusInto fills st like Status, reusing the capacity of st's
 // PairWatts and Channels slices — the allocation-free form for scrapers
 // that snapshot whole fleets at a fixed cadence. The filled slices remain
-// the caller's own copies.
+// the caller's own copies. The shard clock is loaded before the copy: it
+// moves only after the quantum's reads have published, so it never
+// carries Now past the read the copy comes from, and a station stepped
+// in the quantum under way keeps its newer source time.
 func (d *Device) StatusInto(st *Status) {
 	pairWatts := st.PairWatts[:0]
 	channels := st.Channels[:0]
-	*st = Status{
-		Name:              d.name,
-		Kind:              d.kind,
-		Backend:           d.meta.Backend,
-		RateHz:            d.meta.RateHz,
-		Pairs:             d.chans,
-		State:             devState(d.pub.state.Load()).String(),
-		Now:               d.now(),
-		Watts:             math.Float64frombits(d.pub.watts.Load()),
-		Joules:            math.Float64frombits(d.pub.joules.Load()),
-		Samples:           d.pub.samples.Load(),
-		Marks:             d.pub.marks.Load(),
-		Resyncs:           int(d.pub.resyncs.Load()),
-		OverheadSeconds:   time.Duration(d.pub.overhead.Load()).Seconds(),
-		RingLen:           int(d.pub.ringLen.Load()),
-		RingTotal:         d.pub.ringTotal.Load(),
-		Health:            healthName(d.pub.health.Load()),
-		Gaps:              d.pub.gaps.Load(),
-		Flatlines:         d.pub.flatlines.Load(),
-		SpikesQuarantined: d.pub.spikesQ.Load(),
-		Restarts:          d.pub.restarts.Load(),
+	clk := time.Duration(d.clk.Load())
+	d.pubMu.Lock()
+	*st = d.pub
+	pairWatts = append(pairWatts, d.pub.PairWatts...)
+	if !d.pubFrozen {
+		st.Now = max(st.Now, clk+d.pubOff)
 	}
-	for m := 0; m < d.chans; m++ {
-		pairWatts = append(pairWatts, math.Float64frombits(d.pub.pair[m].Load()))
-	}
+	d.pubMu.Unlock()
 	st.PairWatts = pairWatts
 	st.Channels = append(channels, d.meta.Channels...)
 }
@@ -761,7 +678,7 @@ func (d *Device) close() bool {
 	if d.closed {
 		return false
 	}
-	d.pub.state.Store(int32(devStopping))
+	d.setState(stateStopping)
 	if end := time.Duration(d.clk.Load()); end > d.readAt && !d.wd.parked && !d.wd.backoff {
 		d.advance(end)
 	}
@@ -772,6 +689,6 @@ func (d *Device) close() bool {
 	d.closed = true
 	d.publish()
 	d.src.Close()
-	d.pub.state.Store(int32(devClosed))
+	d.setState(stateClosed)
 	return true
 }

@@ -19,9 +19,18 @@
 // comparison and no lock, source call or write, and a shard with nothing
 // due is not handed to its worker. A due station reads all the quanta it
 // skipped in one ReadInto call, which the source contract's split
-// invariance makes exact. Its published clock is its source's clock as
-// of its last read, carried forward by the shard's clock over the quanta
-// skipped since, so Status.Now is exact after every quantum.
+// invariance makes exact.
+//
+// Each read publishes the station's Status whole, under a small lock
+// of its own that is not the ingest mutex, so a snapshot's counters,
+// energy, watts and clock all come from one read. The published clock
+// is the source's clock at that read plus its offset from the shard
+// clock: a skipped station's Now is carried forward by the shard's
+// clock, so it is exact after every quantum, and it is frozen while the
+// source is not read (backoff, parked, closed) or when its offset moved
+// at the last read (a skew stage). Each shard keeps one render
+// generation counter, moved by churn and by any quantum that published a
+// completed block, a health transition or an episode counter.
 //
 // Samples are downsampled on the fly into fixed-capacity ring buffers
 // (one per station), with block sizes derived from each source's native

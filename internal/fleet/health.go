@@ -229,7 +229,7 @@ type watchdog struct {
 	restartsLeft int
 	parked       bool
 
-	// Episode counters, mirrored into pub by publish.
+	// Episode counters, mirrored into the published status by publish.
 	gaps      uint64
 	flatlines uint64
 	spikesQ   uint64
@@ -439,8 +439,8 @@ func (d *Device) observeRead(dt time.Duration, got int, end time.Duration) {
 // latency is the detectors' own windows — while upgrades hold for
 // healthRecover, so a fault flapping faster than that pins the station at
 // its worst recent state instead of strobing the fleet view. Called from
-// advance with d.mu held; transitions publish atomically and append an
-// obs event.
+// advance with d.mu held; a transition publishes the new health under
+// the status lock, marks the station dirty and appends an obs event.
 func (d *Device) refreshHealth(end time.Duration) {
 	w := &d.wd
 	var want int32
@@ -469,8 +469,10 @@ func (d *Device) refreshHealth(end time.Duration) {
 	}
 	w.holding = false
 	w.health = want
-	d.pub.health.Store(want)
-	d.pub.wdGen.Add(1)
+	d.pubMu.Lock()
+	d.pub.Health = healthName(want)
+	d.pubMu.Unlock()
+	d.dirty = true
 	d.healthEvent(obs.EventHealth, healthName(want))
 }
 

@@ -7,6 +7,10 @@ package fleet
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,6 +124,203 @@ func TestIngestAllocatesOnlySealedHistoryBlocks(t *testing.T) {
 	}
 }
 
+// TestStepAllocatesOnlyAtHistorySeals pins the ingest allocation
+// contract quantum by quantum, through the public StepAll path with fold
+// sampling live: a quantum in which no history block seals allocates
+// nothing, and one that seals blocks allocates at most two objects per
+// seal (the sealed copy of the block's bits, and now and then the growth
+// of the series' block slice). Stations run long enough to seal several
+// blocks each, on the serial path (fewer than stepParallelMin stations)
+// and on the parallel shard-worker path.
+//
+// The process count is what the runtime allocates, so the runtime is held
+// still: one P, the collector off. Parking the step workers on their
+// channels and the stepper on its WaitGroup takes goroutine wait records
+// (sudogs) from per-P pools, which every GC cycle empties and which
+// drift between Ps, so with two Ps a parallel quantum now and then
+// allocates a few to refill them. Even so the runtime's background
+// goroutines may allocate while a quantum is measured (the scavenger
+// growing a timer heap), so two objects over the run are forgiven; an
+// allocation of the fleet's on any path a quantum takes would show in
+// hundreds of quanta.
+func TestStepAllocatesOnlyAtHistorySeals(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		stations int
+	}{
+		{"serial", 16},
+		{"parallel", stepParallelMin},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			m := NewManager(Config{})
+			t.Cleanup(m.Close)
+			devs := make([]*Device, tc.stations)
+			for i := range devs {
+				d, err := m.Add(fmt.Sprintf("s%02d", i), "stub", &stubSource{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				devs[i] = d
+				// Stagger the stations so their seals land in different
+				// quanta.
+				m.StepAll(10 * time.Millisecond)
+			}
+			seals := func() uint64 {
+				var n uint64
+				for _, d := range devs {
+					n += d.HistoryStats().Appended / history.DefaultBlockPoints
+				}
+				return n
+			}
+			var ms runtime.MemStats
+			mallocs := func() uint64 {
+				runtime.ReadMemStats(&ms)
+				return ms.Mallocs
+			}
+			m.StepAll(100 * time.Millisecond)
+			folds := m.IngestFoldHist().Count()
+			const quanta = 600 // 3 s: every station seals at least twice
+			var sealed, sealQuanta, stray uint64
+			for q := 0; q < quanta; q++ {
+				s0, a0 := seals(), mallocs()
+				m.StepAll(5 * time.Millisecond)
+				allocs, s := mallocs()-a0, seals()-s0
+				if allocs > 2*s {
+					t.Logf("quantum %d allocated %d objects while sealing %d history blocks", q, allocs, s)
+					stray += allocs - 2*s
+				}
+				sealed += s
+				if s > 0 {
+					sealQuanta++
+				}
+			}
+			if stray > 2 {
+				t.Errorf("quanta allocated %d objects beyond two per sealed history block, want at most 2", stray)
+			}
+			if want := 2 * uint64(tc.stations); sealed < want {
+				t.Errorf("%d quanta sealed %d history blocks, want at least %d: the guard never crossed a seal",
+					quanta, sealed, want)
+			}
+			if sealQuanta == quanta {
+				t.Error("every quantum sealed a block: the zero-alloc quanta went unchecked")
+			}
+			if m.IngestFoldHist().Count() <= folds {
+				t.Error("fold histogram did not advance: the guard did not cover instrumented ingest")
+			}
+		})
+	}
+}
+
+// rampSource is a one-channel 20 kHz source whose every reading is an
+// exact function of its sample count n: sample i (1-based) reads i watts
+// at i sample periods, so block k of 20 samples averages 20k − 9.5 W,
+// and its energy counter holds exactly n × rampJoule.
+type rampSource struct {
+	now time.Duration
+	n   int
+}
+
+const rampJoule = 0.25
+
+func (s *rampSource) Meta() source.Meta {
+	return source.Meta{Backend: "ramp", RateHz: 20000, Channels: []string{"a"}}
+}
+func (s *rampSource) Now() time.Duration { return s.now }
+
+func (s *rampSource) ReadInto(d time.Duration, b *source.Batch) error {
+	b.Reset(1)
+	s.now += d
+	k := int(s.now/stubPeriod) - s.n
+	b.Extend(k)
+	for i := 0; i < k; i++ {
+		s.n++
+		b.Time[i] = time.Duration(s.n) * stubPeriod
+		b.Total[i] = float64(s.n)
+		b.Chans[i] = float64(s.n)
+	}
+	return nil
+}
+
+func (s *rampSource) Joules() float64 { return float64(s.n) * rampJoule }
+func (s *rampSource) Resyncs() int    { return 0 }
+func (s *rampSource) Close()          {}
+
+// TestStatusOneRead races a stepper against Status and SnapshotInto
+// readers over ramp sources, whose samples, clock, energy, ring counts
+// and block watts are all exact functions of one sample count: a status
+// mixing fields of two reads fails at least one of the identities.
+func TestStatusOneRead(t *testing.T) {
+	m := NewManager(Config{RingCap: 64})
+	t.Cleanup(m.Close)
+	for i := 0; i < 4; i++ {
+		if _, err := m.Add(fmt.Sprintf("r%d", i), "ramp", &rampSource{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(st *Status) error {
+		n := st.Samples
+		blocks := n / 20
+		switch {
+		case st.Now != time.Duration(n)*stubPeriod:
+			return fmt.Errorf("now %v with %d samples", st.Now, n)
+		case st.Joules != float64(n)*rampJoule:
+			return fmt.Errorf("joules %v with %d samples", st.Joules, n)
+		case st.RingTotal != blocks:
+			return fmt.Errorf("ring total %d with %d samples", st.RingTotal, n)
+		case st.RingLen != int(min(blocks, 64)):
+			return fmt.Errorf("ring len %d with %d samples", st.RingLen, n)
+		case len(st.PairWatts) != 1 || st.PairWatts[0] != st.Watts:
+			return fmt.Errorf("pair watts %v with watts %v", st.PairWatts, st.Watts)
+		case blocks > 0 && math.Abs(st.Watts-(20*float64(blocks)-9.5)) > 1e-6:
+			return fmt.Errorf("watts %v with %d samples", st.Watts, n)
+		}
+		return nil
+	}
+
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	var checked atomic.Uint64
+	reader := func(read func([]Status) []Status) {
+		var snap []Status
+		for {
+			select {
+			case <-done:
+				errs <- nil
+				return
+			default:
+			}
+			snap = read(snap[:0])
+			for i := range snap {
+				if err := check(&snap[i]); err != nil {
+					errs <- fmt.Errorf("%s: %v", snap[i].Name, err)
+					return
+				}
+			}
+			checked.Add(uint64(len(snap)))
+		}
+	}
+	d := m.Device("r0")
+	go reader(func(dst []Status) []Status { return append(dst, d.Status()) })
+	go reader(m.SnapshotInto)
+	for q := 0; q < 1000; q++ {
+		m.StepAll(5 * time.Millisecond)
+	}
+	close(done)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if checked.Load() == 0 {
+		t.Fatal("no status checked")
+	}
+	if st := d.Status(); st.Samples != 100000 {
+		t.Errorf("samples = %d after 5 s at 20 kHz, want 100000", st.Samples)
+	}
+}
+
 // TestStatusWithoutIngestMutex pins the scrape-decoupling contract:
 // Status and Manager.Snapshot must complete while a station's ingest
 // mutex is held (as it is for the whole of every ingest step).
@@ -146,7 +347,7 @@ func TestStatusWithoutIngestMutex(t *testing.T) {
 	}
 }
 
-// TestStatusValuesFromStub cross-checks the atomically published fields
+// TestStatusValuesFromStub cross-checks the published status fields
 // against the stub's exact arithmetic.
 func TestStatusValuesFromStub(t *testing.T) {
 	m, d := stubDevice(t)
@@ -243,7 +444,7 @@ func BenchmarkFleetIngestFold(b *testing.B) {
 }
 
 // BenchmarkFleetStatus is the scrape-side cost of one station's
-// lock-free status assembly.
+// status copy under its publication lock.
 func BenchmarkFleetStatus(b *testing.B) {
 	m, d := stubDevice(b)
 	m.StepAll(50 * time.Millisecond)

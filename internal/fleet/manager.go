@@ -42,7 +42,7 @@ type Config struct {
 	EventCap int
 	// Shards is the number of fixed partitions the fleet is split into.
 	// Each station hashes to a shard by name; each shard owns its own
-	// copy-on-write device list, churn counters, render generation and
+	// copy-on-write device list, render generation and
 	// step worker, so churn, stepping, snapshots and scrape rendering
 	// contend per shard instead of fleet-wide. Zero means 8; values are
 	// clamped to [1, MaxShards]. Shards=1 recovers the unsharded
@@ -116,8 +116,7 @@ type Manager struct {
 	shards []shard
 
 	// Fleet-wide lifetime churn counters, exported as
-	// powersensor_fleet_{adopted,retired}_total. Each shard additionally
-	// keeps its own pair, which feed the per-shard render generations.
+	// powersensor_fleet_{adopted,retired}_total.
 	adopted atomic.Uint64
 	retired atomic.Uint64
 
@@ -225,10 +224,10 @@ func (m *Manager) Add(name, kind string, src source.Source) (*Device, error) {
 	sh.devices.Store(&next)
 	m.byName[name] = d
 	m.adopted.Add(1)
-	sh.adopted.Add(1)
+	sh.gen.Add(1)
 	m.events.Append(obs.EventAdopt, name, kind, "add")
 	if m.stop != nil {
-		d.pub.state.Store(int32(devStarted))
+		d.setState(stateStarted)
 		m.events.Append(obs.EventStart, name, kind, "")
 	}
 	return d, nil
@@ -255,7 +254,7 @@ func (m *Manager) Remove(name string) error {
 	next := slices.DeleteFunc(slices.Clone(sh.list()), func(o *Device) bool { return o == d })
 	sh.devices.Store(&next) // commit: new readers no longer see the station
 	m.retired.Add(1)
-	sh.retired.Add(1)
+	sh.gen.Add(1)
 	m.events.Append(obs.EventRetire, name, d.kind, "remove")
 	m.mu.Unlock()
 
@@ -267,57 +266,29 @@ func (m *Manager) Remove(name string) error {
 	return nil
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// ShardGen returns shard s's render generation: a counter, one atomic
+// load, that moves whenever a station of the shard completes a downsample
+// block, publishes a health transition or an episode counter, or joins
+// or leaves the shard. That is exactly when a rendered exposition segment
+// of this shard goes stale, and only then, so one busy station
+// invalidates one shard's cached segment while the other shards'
+// segments stay servable. The counter moves after the change is
+// published, so a segment rendered after loading a generation is at
+// least as new as it.
+func (m *Manager) ShardGen(s int) uint64 { return m.shards[s].gen.Load() }
 
-// ShardGen returns shard s's generation fingerprint: a hash folding the
-// shard's churn counters and each of its stations' ever-produced
-// ring-point counts and watchdog generations, computed from the same
-// atomically published cells snapshots read — no manager lock, no device
-// ingest mutex, O(shard stations) atomic loads. The fingerprint changes
-// whenever a station in this shard completes a downsample block, churns
-// in or out, or publishes a health transition or episode counter, which
-// is exactly when a rendered exposition segment of this shard goes stale —
-// and only then, so one busy station invalidates one shard's cached
-// segment while the other shards' segments stay servable. Distinct
-// shard states could in principle collide in the 64-bit hash; with
-// FNV-style mixing that is vanishingly unlikely and the cost is one
-// stale scrape of one shard, not corruption.
-func (m *Manager) ShardGen(s int) uint64 {
-	sh := &m.shards[s]
-	h := uint64(fnvOffset64)
-	mix := func(v uint64) {
-		h ^= v
-		h *= fnvPrime64
-	}
-	mix(sh.adopted.Load())
-	mix(sh.retired.Load())
-	for _, d := range sh.list() {
-		mix(d.pub.ringTotal.Load())
-		// The watchdog generation moves independently of block
-		// production: a station going stale or parked freezes its
-		// ringTotal while its published health changes — without this
-		// fold the cached segment would serve the old health forever.
-		mix(d.pub.wdGen.Load())
-	}
-	return h
-}
-
-// Gen returns a generation fingerprint of the whole fleet's
-// block-boundary state, folding every shard's generation. It changes
-// whenever any station completes a downsample block or the fleet churns
-// — the condition under which any fleet-derived rendering goes stale.
+// Gen returns the whole fleet's render generation: the sum of the shard
+// counters. It moves whenever any shard's does — the condition under
+// which any fleet-derived rendering goes stale — and, the counters never
+// going back, two equal loads mean no shard moved between them.
 // Consumers that can act per shard should prefer ShardGen, which is what
 // lets a busy station invalidate one shard instead of the fleet.
 func (m *Manager) Gen() uint64 {
-	h := uint64(fnvOffset64)
+	var g uint64
 	for s := range m.shards {
-		h ^= m.ShardGen(s)
-		h *= fnvPrime64
+		g += m.shards[s].gen.Load()
 	}
-	return h
+	return g
 }
 
 // Adopted returns the number of stations ever adopted by Add.
@@ -334,7 +305,7 @@ func (m *Manager) Events() *obs.EventRing { return m.events }
 
 // IngestFoldHist returns the fleet-wide latency histogram of the ingest
 // fold — the per-read cost of folding one source batch into the
-// downsample accumulators, staging area and published cells, excluding
+// downsample accumulators, staging area and published status, excluding
 // the source's own ReadInto. To keep the hot path inside its overhead
 // budget the fold is timed on a 1-in-foldSampleEvery read sample, so the
 // histogram holds a uniform sample of reads, not every read.
@@ -369,17 +340,19 @@ func (m *Manager) ShardStepHist() *obs.Hist { return &m.stepHist }
 // the fleet size, degraded counts every station not currently healthy,
 // and down counts the subset that is stale or flatlined — serving
 // nothing, or serving fake liveness. Like Snapshot it reads only the
-// atomically published health cells — no manager lock, no ingest mutexes
-// — so /healthz can poll it on every probe.
+// published statuses — no manager lock, no ingest mutexes — so /healthz
+// can poll it on every probe.
 func (m *Manager) HealthCounts() (stations, degraded, down int) {
 	for s := range m.shards {
 		for _, d := range m.shards[s].list() {
+			d.pubMu.Lock()
+			h := HealthLevel(d.pub.Health)
+			d.pubMu.Unlock()
 			stations++
-			h := d.pub.health.Load()
-			if h != healthHealthy {
+			if h != int(healthHealthy) {
 				degraded++
 			}
-			if h >= healthFlatlined {
+			if h >= int(healthFlatlined) {
 				down++
 			}
 		}
@@ -389,13 +362,15 @@ func (m *Manager) HealthCounts() (stations, degraded, down int) {
 
 // RingOccupancy sums ring fill across the fleet: points currently held
 // in every station's ring and the total capacity. Like Snapshot it reads
-// only atomically published cells and each ring's fixed capacity — no
+// only the published statuses and each ring's fixed capacity — no
 // manager lock, no ingest or ring mutexes — so it is safe on every scrape
 // even when the body cache skips the full snapshot.
 func (m *Manager) RingOccupancy() (held, capacity int) {
 	for s := range m.shards {
 		for _, d := range m.shards[s].list() {
-			held += int(d.pub.ringLen.Load())
+			d.pubMu.Lock()
+			held += d.pub.RingLen
+			d.pubMu.Unlock()
 			capacity += d.ring.Cap()
 		}
 	}
@@ -450,7 +425,7 @@ func (m *Manager) Start() {
 	m.stop, m.pacerDone = make(chan struct{}), make(chan struct{})
 	for s := range m.shards {
 		for _, d := range m.shards[s].list() {
-			d.pub.state.Store(int32(devStarted))
+			d.setState(stateStarted)
 			m.events.Append(obs.EventStart, d.name, d.kind, "")
 		}
 	}
@@ -515,7 +490,11 @@ func (m *Manager) Stop() {
 		m.stop = nil
 		for s := range m.shards {
 			for _, d := range m.shards[s].list() {
-				d.pub.state.CompareAndSwap(int32(devStarted), int32(devAdopted))
+				d.pubMu.Lock()
+				if d.pub.State == stateStarted {
+					d.pub.State = stateAdopted
+				}
+				d.pubMu.Unlock()
 			}
 		}
 	}
@@ -607,9 +586,9 @@ func (m *Manager) stepWorker(sh *shard) {
 }
 
 // Snapshot returns the status of every station, sorted by name. It takes
-// no manager lock and no device ingest mutex — each status is assembled
-// from the device's atomically published telemetry — so snapshotting a
-// large fleet cannot stall (or be stalled by) any station's ingest.
+// no manager lock and no device ingest mutex — each status is copied from
+// the device's published status — so snapshotting a large fleet cannot
+// stall (or be stalled by) any station's ingest.
 func (m *Manager) Snapshot() []Status {
 	return m.SnapshotInto(nil)
 }
@@ -666,10 +645,12 @@ func (m *Manager) Close() {
 	}
 	m.stepMu.Unlock()
 	for s := range m.shards {
-		for _, d := range m.shards[s].list() {
+		sh := &m.shards[s]
+		for _, d := range sh.list() {
 			if d.close() {
 				m.events.Append(obs.EventClose, d.name, d.kind, "shutdown")
 			}
 		}
+		sh.gen.Add(1) // the drained blocks and closed states
 	}
 }

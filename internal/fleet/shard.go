@@ -12,6 +12,11 @@ import (
 // allocation-free however the fleet is sharded.
 const MaxShards = 64
 
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // shardOf maps a station name to its home shard: FNV-1a over the name,
 // folded modulo the shard count. The hash is a pure function of the name,
 // so a station retired and re-added always lands in the same shard.
@@ -25,16 +30,19 @@ func shardOf(name string, nshards int) int {
 }
 
 // shard is one fixed partition of the fleet. Each shard owns its own
-// copy-on-write sorted device list, its own churn counters (feeding the
-// shard's render generation, so one shard's churn never invalidates
-// another's cached exposition segment), its own clock and due times and,
-// once parallel stepping starts, its own persistent step-worker
-// goroutine.
+// copy-on-write sorted device list, its own render generation (so one
+// shard's churn or blocks never invalidate another's cached exposition
+// segment), its own clock and due times and, once parallel stepping
+// starts, its own persistent step-worker goroutine.
 type shard struct {
 	devices atomic.Pointer[[]*Device] // sorted by name, copy-on-write
-	adopted atomic.Uint64
-	retired atomic.Uint64
-	stepCh  chan time.Duration // nil until the step workers launch
+	stepCh  chan time.Duration        // nil until the step workers launch
+
+	// gen is the shard's render generation (see Manager.ShardGen): bumped
+	// after Add or Remove swaps the list, and after a quantum in which a
+	// stepped station published a completed block, a health transition
+	// or an episode counter.
+	gen atomic.Uint64
 
 	// clock is the virtual time the shard has been stepped through,
 	// stored once each quantum's due stations are stepped. Its stations
@@ -73,9 +81,10 @@ func (sh *shard) skip(q time.Duration) bool {
 
 // step advances the shard by one quantum q: it steps every station due by
 // the quantum's end — each reads the quanta it skipped in the same call —
-// and then moves the clock. A list changed by Add or Remove rebuilds the
-// schedule first, carrying each station's due time over; a new station is
-// due at once.
+// and then moves the clock, and the render generation if a stepped
+// station published a change a rendered segment shows. A list changed by
+// Add or Remove rebuilds the schedule first, carrying each station's due
+// time over; a new station is due at once.
 func (sh *shard) step(q time.Duration) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -88,13 +97,16 @@ func (sh *shard) step(q time.Duration) {
 		}
 		sh.next = end
 	}
+	dirty := false
 	if sh.next <= end {
 		devs := *sh.built
 		next := never
 		for i, due := range sh.due {
 			if due <= end {
 				d := devs[i]
-				due = d.step(end)
+				var moved bool
+				due, moved = d.step(end)
+				dirty = dirty || moved
 				d.due = due
 				sh.due[i] = due
 			}
@@ -103,6 +115,9 @@ func (sh *shard) step(q time.Duration) {
 		sh.next = next
 	}
 	sh.clock.Store(int64(end))
+	if dirty {
+		sh.gen.Add(1)
+	}
 }
 
 // devIter merges the per-shard sorted device lists into one
