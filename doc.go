@@ -35,7 +35,11 @@
 // source.Batch — flat Time/Chans/Total arrays — with the samples a
 // virtual-time slice produced, so a 20 kHz sensor hands the fleet
 // hundreds of samples per call and the fleet folds whole columns with
-// tight reduction loops instead of dispatching per sample.
+// tight reduction loops instead of dispatching per sample. Those loops —
+// the spike gate and the block fold — carry no data-dependent branch on
+// their common path: absolute differences, sums and ORed comparison
+// flags, so noisy power costs no mispredictions; the rare spike
+// quarantine runs out of line.
 //
 // # The derived-source pipeline layer
 //

@@ -143,18 +143,21 @@ type Device struct {
 	marks   uint64
 	closed  bool
 
-	// In-flight downsample block: running sum/min/max of the summed power
-	// (min/max feed only the flatline detector, never the ring) plus
-	// per-channel running sums — fixed-size accumulators, so folding a
-	// block performs no appends and no allocations.
-	accN                   int
-	accMarks               int
-	accSum, accMin, accMax float64
-	pairSums               [source.MaxChannels]float64
-	scratch                [source.MaxChannels]float64 // latest block's per-channel means
-	accMean                float64                     // latest block's summed-power mean
-	emitted                bool                        // block completed since last publish
-	ringTotal              uint64
+	// In-flight downsample block: running sum of the summed power,
+	// per-channel running sums, and for the flatline detector the block's
+	// first summed-power value plus whether any later sample compared
+	// above or below it — fixed-size accumulators, so folding a block
+	// performs no appends and no allocations.
+	accN      int
+	accMarks  int
+	accSum    float64
+	accFirst  float64
+	accVaried bool
+	pairSums  [source.MaxChannels]float64
+	scratch   [source.MaxChannels]float64 // latest block's per-channel means
+	accMean   float64                     // latest block's summed-power mean
+	emitted   bool                        // block completed since last publish
+	ringTotal uint64
 
 	// Completed-point staging: blocks finished within one step collect
 	// here and reach the ring in a single PushN, one lock round-trip per
@@ -298,9 +301,12 @@ func (d *Device) Ring() *Ring { return d.ring }
 // ingestBatch folds a columnar batch into the in-flight downsample block,
 // emitting a ring point at every block boundary. It walks each column in
 // boundary-bounded runs — no per-sample dispatch, no appends, no
-// allocations — with the reduction loops two-way unrolled into
-// independent accumulators so they are not serialised on a single
-// floating-point add chain. Called with d.mu held (via step).
+// allocations — summing in register accumulators, unrolled where a
+// column would otherwise be one floating-point add chain. The loops carry
+// no data-dependent branch: a block is flat for the flatline detector
+// when no sample compares above or below its first, and that flag is an
+// OR of comparison results rather than a running min/max, so noisy power
+// costs no mispredictions. Called with d.mu held (via step).
 func (d *Device) ingestBatch(b *source.Batch) {
 	n := b.Len()
 	if n == 0 {
@@ -318,43 +324,29 @@ func (d *Device) ingestBatch(b *source.Batch) {
 		if rem := n - i; rem < run {
 			run = rem
 		}
-		// Summed-power column: running sum and block min/max.
+		// Summed-power column: running sum, and whether any sample
+		// compared above or below the block's first.
 		seg := totals[i : i+run]
-		lo, hi := d.accMin, d.accMax
 		if d.accN == 0 {
-			lo, hi = seg[0], seg[0]
+			d.accFirst = seg[0]
 		}
+		first := d.accFirst
 		var sumA, sumB float64
+		var varied uint8
 		j := 0
 		for ; j+1 < len(seg); j += 2 {
 			a, b2 := seg[j], seg[j+1]
 			sumA += a
 			sumB += b2
-			if a < lo {
-				lo = a
-			}
-			if a > hi {
-				hi = a
-			}
-			if b2 < lo {
-				lo = b2
-			}
-			if b2 > hi {
-				hi = b2
-			}
+			varied |= b2u(a < first) | b2u(a > first) | b2u(b2 < first) | b2u(b2 > first)
 		}
 		if j < len(seg) {
 			a := seg[j]
 			sumA += a
-			if a < lo {
-				lo = a
-			}
-			if a > hi {
-				hi = a
-			}
+			varied |= b2u(a < first) | b2u(a > first)
 		}
 		d.accSum += sumA + sumB
-		d.accMin, d.accMax = lo, hi
+		d.accVaried = d.accVaried || varied != 0
 		// Per-channel columns: running sums, with the common strides
 		// specialised so the inner loop carries no bounds rechecks.
 		switch stride {
@@ -370,6 +362,17 @@ func (d *Device) ingestBatch(b *source.Batch) {
 				s0 += row[j]
 			}
 			d.pairSums[0] += s0 + s1
+		case 2:
+			// Each channel's sum runs in sample order from its running
+			// value, as the generic loop adds it: the two channels are
+			// already two independent chains.
+			row := chans[i*2 : (i+run)*2]
+			s0, s1 := d.pairSums[0], d.pairSums[1]
+			for j := 0; j+1 < len(row); j += 2 {
+				s0 += row[j]
+				s1 += row[j+1]
+			}
+			d.pairSums[0], d.pairSums[1] = s0, s1
 		case 3:
 			row := chans[i*3 : (i+run)*3]
 			var s0, s1, s2, t0, t1, t2 float64
@@ -415,6 +418,15 @@ func (d *Device) ingestBatch(b *source.Batch) {
 	}
 }
 
+// b2u is a comparison result as 0 or 1; the compiler lowers it to a
+// flag set, so ORing comparisons through it takes no branch.
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // pendCap bounds the completed points staged between ring flushes: the
 // default config completes five blocks per step, so one flush per step
 // is the steady state and long catch-up steps flush every pendCap blocks.
@@ -447,6 +459,7 @@ func (d *Device) emit(t time.Duration) {
 	d.accN = 0
 	d.accMarks = 0
 	d.accSum = 0
+	d.accVaried = false
 }
 
 // flush moves the staged points into the ring and the history series,
@@ -501,14 +514,15 @@ func (d *Device) publish() {
 }
 
 // foldSampleEvery selects which reads contribute a fold-latency
-// observation: every read whose ordinal is a multiple of it. At the
-// uninstrumented baseline one timed read costs two clock reads plus a
-// histogram Record (~70 ns) against ~680 ns of fold work per default
-// 100-sample read — around 10%, over the ingest path's 5% overhead
-// budget if paid every read. Sampling 1-in-32 amortises it well under
-// 1% while a 200-read/s production station still records ~6
-// observations per second, ample for a latency distribution. Must be a
-// power of two; the selection is a mask test.
+// observation: every read whose ordinal is a multiple of it. One timed
+// read costs two clock reads plus a histogram Record (~110 ns on a
+// 2-vCPU x86-64 VM) against ~800 ns of fold work per default 100-sample
+// read of noisy three-channel data (BenchmarkFleetIngestFold less its
+// copy row) — around 14%, over the ingest path's 5% overhead budget if
+// paid every read. Sampling 1-in-32 amortises it to about 0.5% while a
+// 200-read/s production station still records ~6 observations per
+// second, ample for a latency distribution. Must be a power of two; the
+// selection is a mask test.
 const foldSampleEvery = 32
 
 // never is the due time of a station that is never stepped again.

@@ -38,6 +38,7 @@
 package fleet
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/obs"
@@ -201,7 +202,7 @@ type watchdog struct {
 	cleanWins int
 	lastGot   time.Duration // shard time of the last delivering read (or adoption)
 
-	// Flatline detection: run of bit-identical min==max==value blocks.
+	// Flatline detection: run of flat blocks (min == max) of one value.
 	flatVal  float64
 	flatRun  int
 	flatOpen bool
@@ -294,6 +295,11 @@ func (d *Device) healthEvent(typ, reason string) {
 // glitches mask each other, and a batch's last sample has no right
 // neighbour yet, so a glitch there passes — the gate is a robust filter,
 // not a parser. end is the shard time of the read that delivered b.
+//
+// The per-sample path is an absolute difference and the noise-scale
+// update, with no branch on the data but the threshold test, which noisy
+// power passes almost always; the isolation test and the rescale sit out
+// of line in quarantine.
 func (d *Device) despike(b *source.Batch, end time.Duration) {
 	n := b.Len()
 	if n == 0 {
@@ -301,7 +307,6 @@ func (d *Device) despike(b *source.Batch, end time.Duration) {
 	}
 	w := &d.wd
 	totals := b.Total
-	stride := d.chans
 	// The gate state lives in locals for the loop and is stored back once
 	// per read, so the per-sample updates stay in registers.
 	prev, dev, seen := w.spikePrev, w.spikeDev, w.spikeN
@@ -311,35 +316,12 @@ func (d *Device) despike(b *source.Batch, end time.Duration) {
 	quarantined := 0
 	for i := 0; i < n; i++ {
 		x := totals[i]
-		diff := x - prev
-		if diff < 0 {
-			diff = -diff
-		}
-		if seen >= spikeArm {
-			if thr := spikeGateK * dev; diff > thr && i+1 < n {
-				next := totals[i+1]
-				dNext := x - next
-				if dNext < 0 {
-					dNext = -dNext
-				}
-				dBridge := next - prev
-				if dBridge < 0 {
-					dBridge = -dBridge
-				}
-				if dNext > thr && dBridge <= thr {
-					fix := (prev + next) / 2
-					if x != 0 {
-						scale := fix / x
-						row := b.Chans[i*stride : (i+1)*stride]
-						for m := range row {
-							row[m] *= scale
-						}
-					}
-					totals[i] = fix
-					quarantined++
-					prev = fix
-					continue // the glitch must not feed the noise scale
-				}
+		diff := math.Abs(x - prev)
+		if thr := spikeGateK * dev; seen >= spikeArm && diff > thr && i+1 < n {
+			if fix, ok := d.quarantine(b, i, prev, thr); ok {
+				quarantined++
+				prev = fix
+				continue // the glitch must not feed the noise scale
 			}
 		}
 		dev += spikeAlpha * (diff - dev)
@@ -353,18 +335,45 @@ func (d *Device) despike(b *source.Batch, end time.Duration) {
 	}
 }
 
+// quarantine is the spike gate's rare path, for a sample i of b that
+// already deviates from its left neighbour prev by more than thr: when it
+// also deviates from its right neighbour by more than thr while the two
+// neighbours agree within thr, it is replaced by their midpoint, its row
+// rescaled to match, and quarantine returns the midpoint and true. It is
+// kept out of line so the gate's per-sample loop stays small.
+//
+//go:noinline
+func (d *Device) quarantine(b *source.Batch, i int, prev, thr float64) (float64, bool) {
+	x, next := b.Total[i], b.Total[i+1]
+	if !(math.Abs(x-next) > thr && math.Abs(next-prev) <= thr) {
+		return 0, false
+	}
+	fix := (prev + next) / 2
+	if x != 0 {
+		scale := fix / x
+		row := b.Chans[i*d.chans : (i+1)*d.chans]
+		for m := range row {
+			row[m] *= scale
+		}
+	}
+	b.Total[i] = fix
+	return fix, true
+}
+
 // observeFlat folds one completed downsample block into the flatline
-// detector: a block whose min, max and previous blocks' value are all
-// bit-identical extends the flat run. Called from emit with the block
-// accumulators still live, so detection costs O(1) per block — the
-// per-sample min/max the fold already computes does the heavy lifting.
+// detector: a block is flat when its first summed-power value is not NaN
+// and no later sample compared above or below it — exactly a block whose
+// minimum equals its maximum — and a flat block equal to the previous
+// flat blocks' value extends the flat run. Called from emit with the
+// block accumulators still live, so detection costs O(1) per block: the
+// per-sample work is the fold's branch-free "varied" flag.
 func (d *Device) observeFlat() {
 	w := &d.wd
-	if d.accMin == d.accMax {
-		if w.flatRun > 0 && d.accMin == w.flatVal {
+	if v := d.accFirst; !d.accVaried && !math.IsNaN(v) {
+		if w.flatRun > 0 && v == w.flatVal {
 			w.flatRun++
 		} else {
-			w.flatVal = d.accMin
+			w.flatVal = v
 			w.flatRun = 1
 		}
 	} else {

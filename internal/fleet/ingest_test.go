@@ -8,6 +8,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
@@ -414,33 +415,107 @@ func TestDeviceChannelsCopiedFromSource(t *testing.T) {
 	}
 }
 
+// chanSource is a stubSource that declares chans channels. The fold
+// benchmarks and tests feed its device batches directly, never reading it.
+type chanSource struct {
+	stubSource
+	chans int
+}
+
+func (s *chanSource) Meta() source.Meta {
+	return source.Meta{Backend: "stub", RateHz: 20000,
+		Channels: []string{"a", "b", "c", "d"}[:s.chans]}
+}
+
+// chanDevice adopts a chanSource of chans channels into a default fleet.
+func chanDevice(t testing.TB, chans int) *Device {
+	m := NewManager(Config{})
+	d, err := m.Add("dev0", "stub", &chanSource{chans: chans})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	return d
+}
+
+// noisyBatches cuts one seeded stream of count*n samples into count
+// batches of n: each channel holds a level with Gaussian noise, and about
+// one sample in 500 is an isolated spike of three times its row, the
+// input that makes the spike gate's and the fold's comparisons hard to
+// predict. Every batch carries the timestamps 1..n sample periods, so
+// history drops the repeats when batches are folded in a cycle.
+func noisyBatches(chans, count, n int, seed int64) []source.Batch {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]source.Batch, count)
+	row := make([]float64, chans)
+	spiked := false
+	for k := range out {
+		b := &out[k]
+		b.Reset(chans)
+		for i := 0; i < n; i++ {
+			spike := !spiked && rng.Intn(500) == 0
+			total := 0.0
+			for m := range row {
+				row[m] = 10*float64(m+1) + rng.NormFloat64()*0.5
+				if spike {
+					row[m] *= 3
+				}
+				total += row[m]
+			}
+			spiked = spike
+			b.Append(time.Duration(i+1)*stubPeriod, row, total)
+		}
+	}
+	return out
+}
+
 // BenchmarkFleetIngestFold is the per-station ingest hot path in
 // isolation: folding prefilled columnar batches into a device — the
 // spike gate, per-sample accumulate, block emit, ring push and telemetry
 // publish, the same work the fold histogram times, with no source behind
 // it. perfbench's fleet.step_self_ns_per_sample row covers the same fold
-// inside whole steps of a served fleet.
+// inside whole steps of a served fleet. Each op folds the next of 64
+// noisy batches (noisyBatches), so the gate's and the fold's comparisons
+// see data no branch predictor learns, on a three-channel rig and on the
+// two-channel rows of the ssd rigs. The gate rewrites the spikes it
+// quarantines in place, so each op first restores its batch from the
+// pristine copy; the copy rows time that restore alone, the floor under
+// the fold rows.
 func BenchmarkFleetIngestFold(b *testing.B) {
-	_, d := stubDevice(b)
-	var batch source.Batch
-	batch.Reset(3)
-	row := []float64{10, 20, 30}
 	const n = 100 // five block-20 points per op
-	for i := 0; i < n; i++ {
-		batch.Append(time.Duration(i+1)*stubPeriod, row, 60)
+	for _, chans := range []int{3, 2} {
+		for _, fold := range []bool{true, false} {
+			name := fmt.Sprintf("chans-%d", chans)
+			if !fold {
+				name += "-copy"
+			}
+			b.Run(name, func(b *testing.B) {
+				d := chanDevice(b, chans)
+				pristine := noisyBatches(chans, 64, n, 1)
+				var batch source.Batch
+				batch.Reset(chans)
+				batch.Extend(n)
+				copy(batch.Time, pristine[0].Time)
+				d.mu.Lock()
+				defer d.mu.Unlock()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p := &pristine[i%len(pristine)]
+					copy(batch.Total, p.Total)
+					copy(batch.Chans, p.Chans)
+					if fold {
+						d.despike(&batch, 0)
+						d.ingestBatch(&batch)
+						d.flush()
+						d.publish()
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/sample")
+			})
+		}
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.despike(&batch, 0)
-		d.ingestBatch(&batch)
-		d.flush()
-		d.publish()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/sample")
 }
 
 // BenchmarkFleetStatus is the scrape-side cost of one station's

@@ -77,7 +77,7 @@ func (r *resampler) ReadInto(d time.Duration, b *source.Batch) error {
 	n := in.Len()
 	marks := in.Marks
 	mk := 0
-	for i := 0; i < n; i++ {
+	for i := 0; i < n; {
 		t := in.Time[i]
 		if r.binEnd != 0 && t > r.binEnd {
 			r.emit(b, stride)
@@ -92,18 +92,40 @@ func (r *resampler) ReadInto(d time.Duration, b *source.Batch) error {
 				r.binEnd = r.lastEdge + r.period
 			}
 		}
-		row := in.Chans[i*stride : (i+1)*stride]
-		for m, w := range row {
-			r.sums[m] += w
+		// The run of samples the open bin takes: up to the first past
+		// its edge, or through the first on it, which fills the bin.
+		j, full := i, false
+		for j < n && in.Time[j] <= r.binEnd {
+			j++
+			if in.Time[j-1] == r.binEnd {
+				full = true // timestamps never decrease: the bin is full
+				break
+			}
 		}
-		r.totSum += in.Total[i]
-		r.n++
-		for mk < len(marks) && marks[mk] == i {
-			r.marks++
-			mk++
+		// Each column's running sum is folded in sample order through a
+		// register, as adding every sample into the bin's sums would.
+		for m := 0; m < stride; m++ {
+			s := r.sums[m]
+			for k := i*stride + m; k < j*stride; k += stride {
+				s += in.Chans[k]
+			}
+			r.sums[m] = s
 		}
-		if t == r.binEnd {
-			r.emit(b, stride) // timestamps never decrease: the bin is full
+		tot := r.totSum
+		for _, w := range in.Total[i:j] {
+			tot += w
+		}
+		r.totSum = tot
+		r.n += j - i
+		for ; mk < len(marks) && i < j; i++ {
+			for mk < len(marks) && marks[mk] == i {
+				r.marks++
+				mk++
+			}
+		}
+		i = j
+		if full {
+			r.emit(b, stride)
 		}
 	}
 	r.record(time.Since(began))
